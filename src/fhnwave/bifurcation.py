@@ -31,6 +31,9 @@ RESIDUAL_TOL = 1e-10
 #: |omega| below this is a fold-Hopf degeneracy; l1 is meaningless there.
 OMEGA_DEGENERATE = 1e-6
 
+#: Columns of a Hopf-point row (see ``HopfPoint.row``).
+HOPF_COLUMNS = ("p", "s", "eps", "x1_star", "omega", "l1", "criticality")
+
 
 @dataclass
 class HopfPoint:
@@ -42,6 +45,11 @@ class HopfPoint:
     l1: float
     criticality: str  # "super", "sub" or "degenerate"
     residual: float
+
+    def row(self) -> tuple:
+        """The point as a curve row in ``HOPF_COLUMNS`` order."""
+        return (self.p, self.s, self.eps, self.x1_star, self.omega, self.l1,
+                self.criticality)
 
 
 def char_poly_coeffs(x1_star: float, s: float, eps: float) -> tuple[float, float, float]:
@@ -85,25 +93,18 @@ def hopf_point(x1_star: float, eps: float, with_l1: bool = True) -> HopfPoint:
     return point
 
 
-def hopf_curve(eps: float, n: int = 200, with_l1: bool = True,
-               margin: float = 1e-4) -> CurveBranch:
+def hopf_curve(eps: float, n: int = 200, with_l1: bool = True) -> CurveBranch:
     """The Hopf U-curve at fixed eps as n points swept in x1*.
 
-    ``margin`` is the relative inset from the interval endpoints, where
-    s diverges (the vertical asymptotes of the singular limit).
+    The sweep is inset from the interval endpoints, where s diverges (the
+    vertical asymptotes of the singular limit), by 1e-4 of its width.
     """
     lo, hi = hopf_interval(eps)
-    inset = margin * (hi - lo)
-    branch = CurveBranch(
-        columns=("p", "s", "eps", "x1_star", "omega", "l1", "criticality"),
-        meta={"eps": eps, "kind": "hopf"},
-    )
-    branch.meta["points_obj"] = points = []
+    inset = 1e-4 * (hi - lo)
+    branch = CurveBranch(columns=HOPF_COLUMNS,
+                         meta={"eps": eps, "kind": "hopf"})
     for x1 in np.linspace(lo + inset, hi - inset, n):
-        pt = hopf_point(float(x1), eps, with_l1=with_l1)
-        points.append(pt)
-        branch.points.append((pt.p, pt.s, pt.eps, pt.x1_star, pt.omega,
-                              pt.l1, pt.criticality))
+        branch.points.append(hopf_point(float(x1), eps, with_l1=with_l1).row())
     return branch
 
 
@@ -171,17 +172,17 @@ def lyapunov_l1(point: HopfPoint) -> float:
     return float((term1 + term2 + term3).real / (2.0 * omega))
 
 
-def gh_locate(eps: float, n_scan: int = 160, left_half_only: bool = True) -> list[HopfPoint]:
-    """Generalized Hopf points: zeros of l1 along the Hopf curve.
+def gh_locate(eps: float, n_scan: int = 160) -> list[HopfPoint]:
+    """Generalized Hopf points: zeros of l1 along the left half of the
+    Hopf curve.
 
     Scans l1 over the x1* sweep, then refines each sign change by a
-    bracketed solve.  ``left_half_only`` restricts to x1* < 11/30; the
-    curve is symmetric about that abscissa, so the right-half points are
-    the mirror images of the left-half ones.
+    bracketed solve.  The sweep stops at x1* = 11/30; the curve is
+    symmetric about that abscissa, so the right-half points are the mirror
+    images of the left-half ones.
     """
     lo, hi = hopf_interval(eps)
-    if left_half_only:
-        hi = min(hi, 11.0 / 30.0)
+    hi = min(hi, 11.0 / 30.0)
     # geometric spacing from the left edge: the high-s GH point sits at an
     # x1*-offset that shrinks with eps (the curve steepens into the
     # asymptote), so a uniform grid loses it for eps below ~1e-3
@@ -207,9 +208,8 @@ def gh_track(eps_grid) -> tuple[CurveBranch, CurveBranch]:
     (the branch closer to the left asymptote keeps the larger s).  Raises
     if some eps does not yield exactly two points.
     """
-    cols = ("p", "s", "eps", "x1_star", "omega", "l1", "criticality")
-    b1 = CurveBranch(columns=cols, meta={"gh": 1})
-    b2 = CurveBranch(columns=cols, meta={"gh": 2})
+    b1 = CurveBranch(columns=HOPF_COLUMNS, meta={"gh": 1})
+    b2 = CurveBranch(columns=HOPF_COLUMNS, meta={"gh": 2})
     for eps in eps_grid:
         pts = gh_locate(float(eps))
         if len(pts) != 2:
@@ -217,9 +217,8 @@ def gh_track(eps_grid) -> tuple[CurveBranch, CurveBranch]:
                 f"expected 2 GH points at eps={eps}, found {len(pts)}")
         pts.sort(key=lambda pt: pt.x1_star)
         # smaller x1* sits near the asymptote: large-s branch (GH2)
-        for pt, branch in ((pts[1], b1), (pts[0], b2)):
-            branch.points.append((pt.p, pt.s, pt.eps, pt.x1_star, pt.omega,
-                                  pt.l1, pt.criticality))
+        b1.points.append(pts[1].row())
+        b2.points.append(pts[0].row())
     return b1, b2
 
 

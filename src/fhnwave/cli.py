@@ -34,6 +34,10 @@ def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fhnwave-")
     try:
+        # mkstemp creates 0600; give the artifact the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
@@ -84,10 +88,9 @@ def _maybe_plot_script(args, csv_path: str, xcol: str, ycol: str) -> None:
 # ------------------------------------------------------------- subcommands
 
 def cmd_folds(args) -> int:
-    folds = model.fold_points()
     p_minus, p_plus = model.slow_fold_params()
     path = _out_path(args, "folds.json")
-    write_json(path, {"x_minus": folds.x_minus, "x_plus": folds.x_plus,
+    write_json(path, {"x_minus": model.X_MINUS, "x_plus": model.X_PLUS,
                       "p_minus": p_minus, "p_plus": p_plus}, {})
     print(path)
     return 0
@@ -145,7 +148,6 @@ def cmd_het_curve(args) -> int:
 
 def cmd_hopf_curve(args) -> int:
     branch = bifurcation.hopf_curve(args.eps, n=args.n)
-    branch.meta.pop("points_obj", None)
     path = _out_path(args, "hopf_curve.csv")
     asym = bifurcation.hopf_asymptotes()
     meta = {"eps": args.eps, "n": args.n,
@@ -217,16 +219,13 @@ def cmd_reduced_orbit(args) -> int:
 
 def cmd_c_curve(args) -> int:
     branch = CurveBranch(columns=("p", "s1", "s2", "eps", "bracket_width"))
-    tol = args.bracket_tol
-    if args.push_float_limit:
-        tol = 0.0
     for p in args.p:
         pt = homoclinic.locate_c_curve(p, args.eps,
                                        s_scan=(args.s_lo, args.s_hi),
-                                       bracket_tol=tol)
+                                       bracket_tol=args.bracket_tol)
         branch.points.append((pt.p, pt.s1, pt.s2, pt.eps, pt.bracket_width))
     path = _out_path(args, "c_curve.csv")
-    write_csv(path, branch, {"eps": args.eps, "bracket_tol": tol,
+    write_csv(path, branch, {"eps": args.eps, "bracket_tol": args.bracket_tol,
                              "s_scan": (args.s_lo, args.s_hi)})
     _maybe_plot_script(args, path, "p", "s2")
     print(path)
@@ -325,9 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s-lo", type=float, default=0.05)
     sp.add_argument("--s-hi", type=float, default=1.55)
     sp.add_argument("--bracket-tol", type=float, default=1e-12,
-                    help="bisection bracket width")
-    sp.add_argument("--push-float-limit", action="store_true",
-                    help="bisect until the bracket cannot shrink")
+                    help="bisection bracket width (0: bisect until the "
+                         "bracket cannot shrink)")
     sp.add_argument("--plot-script", action="store_true",
                     help="also emit a gnuplot script")
 

@@ -41,22 +41,6 @@ def hamiltonian(state, pbar):
 
 
 @dataclass
-class HamiltonianData:
-    """Hamiltonian evaluators of the s = 0 layer problem at fixed pbar."""
-
-    pbar: float
-
-    def V(self, x1):
-        return potential(x1, self.pbar)
-
-    def H(self, state):
-        return hamiltonian(state, self.pbar)
-
-    def level(self, state) -> float:
-        return float(self.H(state))
-
-
-@dataclass
 class HetConnection:
     """A located heteroclinic connection of the layer problem."""
 

@@ -12,7 +12,7 @@ the classification flips are the homoclinic bifurcation values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -20,7 +20,7 @@ from scipy.optimize import brentq
 from . import model
 from .curves import CurveBranch
 from .fast_layer import HetConnection, double_het_pbar, find_het
-from .integrate import IntegratorOptions, Trajectory, integrate
+from .integrate import IntegratorOptions, integrate
 from .model import DomainError, ModelParams
 
 #: Fold parameter values p_- < p_+ where the full equilibrium crosses the
@@ -136,18 +136,15 @@ def upper_connection(p: float, s_scan: tuple[float, float] = (0.0, 1.6),
                     gap_tol=gap_tol)
 
 
-def singular_upper_curve(p_range: tuple[float, float] | None = None,
-                         n: int = 30, gap_tol: float = 1e-8) -> CurveBranch:
+def singular_upper_curve(n: int = 30, gap_tol: float = 1e-8) -> CurveBranch:
     """Fast-wave speed curve s(p) at the equilibrium height (A to C).
 
-    Defaults to the full admissible band between p* and p_- (shrunk by a
-    small margin at both ends, where the speed tends to 0 and to the
-    saddle-node limit s*).
+    Spans the full admissible band between p* and p_-, shrunk by a small
+    margin at both ends, where the speed tends to 0 and to the saddle-node
+    limit s*.
     """
-    if p_range is None:
-        p_star, _ = double_het_point()
-        p_range = (p_star + 1e-4, P_MINUS - 1e-4)
-    ps = np.linspace(p_range[0], p_range[1], n)
+    p_star, _ = double_het_point()
+    ps = np.linspace(p_star + 1e-4, P_MINUS - 1e-4, n)
     branch = CurveBranch(columns=("p", "s", "pbar"),
                          meta={"height": "equilibrium"})
     window = (0.0, 1.7)
@@ -171,38 +168,6 @@ def return_connection(p: float, v: float,
             f"height pbar={pbar:.6g} outside the three-equilibria band")
     return find_het(direction="right-to-left", pbar=pbar, scan=s_scan,
                     gap_tol=gap_tol)
-
-
-def singular_return_curve(v: float, p_range: tuple[float, float] | None = None,
-                          n: int = 25, gap_tol: float = 1e-8) -> CurveBranch:
-    """Speed curve of right-to-left connections at height x1*(p) + v."""
-    if v <= 0.0:
-        raise DomainError("return height offset v must be positive")
-    if p_range is None:
-        # right-to-left connections live at pbar in (pbar_l, pbar*); clip
-        # the default window (p*, p_-) to where the height stays inside
-        lo, hi = double_het_point()[0] + 1e-4, P_MINUS - 1e-4
-
-        def clip(target: float, default: float) -> float:
-            f = lambda p: equilibrium_pbar(p, v) - target
-            if f(lo) * f(hi) < 0:
-                return float(brentq(f, lo, hi, xtol=1e-12))
-            return default
-
-        p_range = (clip(model.PBAR_L + 1e-4, lo),
-                   clip(double_het_pbar() - 1e-4, hi))
-    ps = np.linspace(p_range[0], p_range[1], n)
-    branch = CurveBranch(columns=("p", "s", "pbar"), meta={"v": v})
-    window = (0.0, 1.7)
-    for p in ps:
-        try:
-            conn = return_connection(float(p), v, s_scan=window,
-                                     gap_tol=gap_tol)
-        except DomainError:
-            conn = return_connection(float(p), v, gap_tol=gap_tol)
-        branch.points.append((float(p), conn.s, conn.pbar))
-        window = (max(0.0, conn.s - 0.2), min(1.7, conn.s + 0.4))
-    return branch
 
 
 def return_height_at(p: float, s: float,
@@ -268,18 +233,17 @@ def _unstable_direction(p: float, s: float, eps: float):
     return info.state, direction
 
 
-def escape_side(p: float, s: float, eps: float, offset: float = 1e-8,
-                max_time: float | None = None) -> int:
+def escape_side(p: float, s: float, eps: float, offset: float = 1e-8) -> int:
     """-1 or +1: side on which the unstable manifold of q escapes.
 
     The manifold is launched toward increasing x1 and integrated in fast
-    time until |x1| reaches the escape abscissa; on time-out the side of
-    the final x1 relative to the middle branch decides.
+    time (at most min(1e4, 100/eps)) until |x1| reaches the escape
+    abscissa; on time-out the side of the final x1 relative to the middle
+    branch decides.
     """
     state, direction = _unstable_direction(p, s, eps)
     params = ModelParams(eps=eps, s=s, p=p)
-    if max_time is None:
-        max_time = min(1e4, 100.0 / eps)
+    max_time = min(1e4, 100.0 / eps)
     opts = IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12,
                              max_time=max_time, escape_radius=50.0)
     events = [lambda t, y: y[0] - ESCAPE_X1,

@@ -49,19 +49,20 @@ class IntegrationError(RuntimeError):
     pass
 
 
+#: Time tolerance to which event crossings are localized.
+EVENT_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class IntegratorOptions:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_step: float = np.inf
     max_time: float = 1e4
     escape_radius: float = 10.0
-    event_tolerance: float = 1e-12
 
     def __post_init__(self):
-        for name in ("rel_tol", "abs_tol", "max_step", "max_time",
-                     "escape_radius", "event_tolerance"):
-            if getattr(self, name) <= 0.0:
+        for name in ("rel_tol", "abs_tol", "max_time", "escape_radius"):
+            if not getattr(self, name) > 0.0:  # also rejects NaN
                 raise ValueError(f"{name} must be positive")
         if self.rel_tol < 1e-14:
             raise ValueError("rel_tol below 1e-14 is not attainable")
@@ -139,7 +140,7 @@ def integrate(field, y0, t_span, opts: IntegratorOptions | None = None,
     """Integrate ``y' = field(t, y)`` over ``t_span`` (backward if reversed).
 
     ``events`` is a list of scalar functions g(t, y); each sign change is
-    localized on the dense output to ``opts.event_tolerance`` in time and
+    localized on the dense output to ``EVENT_TOL`` in time and
     terminates the run (first event wins).  Termination also occurs on
     ||y|| > escape_radius ("escape"), elapsed time > max_time ("time-out"),
     or step-size underflow ("step-failure").
@@ -148,6 +149,8 @@ def integrate(field, y0, t_span, opts: IntegratorOptions | None = None,
         opts = IntegratorOptions()
     events = list(events) if events else []
     t0, tf = float(t_span[0]), float(t_span[1])
+    if not (np.isfinite(t0) and np.isfinite(tf)):
+        raise ValueError(f"non-finite t_span ({t0}, {tf})")
     if t0 == tf:
         raise ValueError("degenerate t_span")
     direction = 1.0 if tf > t0 else -1.0
@@ -169,7 +172,7 @@ def integrate(field, y0, t_span, opts: IntegratorOptions | None = None,
     d0 = _rms_norm(y / scale)
     d1 = _rms_norm(f / scale)
     h = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    h = min(h, abs(tf - t0), opts.max_step)
+    h = min(h, abs(tf - t0))
 
     reason = None
     K = np.empty((7, y.size))
@@ -177,8 +180,7 @@ def integrate(field, y0, t_span, opts: IntegratorOptions | None = None,
         if abs(t - t0) >= opts.max_time:
             reason = "time-out"
             break
-        h = min(h, abs(tf - t), opts.max_step,
-                opts.max_time - abs(t - t0) + 1e-16)
+        h = min(h, abs(tf - t), opts.max_time - abs(t - t0) + 1e-16)
         if h < 1e-14 * max(1.0, abs(t)):
             reason = "step-failure"
             break
@@ -214,7 +216,7 @@ def integrate(field, y0, t_span, opts: IntegratorOptions | None = None,
             if g_old * g_new <= 0.0 and g_new != g_old:
                 t_ev = brentq(
                     lambda tv: g(tv, seg.eval(tv)),
-                    t, t_new, xtol=opts.event_tolerance, rtol=8.881784197001252e-16,
+                    t, t_new, xtol=EVENT_TOL, rtol=8.881784197001252e-16,
                 )
                 if hit is None or direction * t_ev < direction * hit.t:
                     hit = EventRecord(index=idx, t=t_ev, state=seg.eval(t_ev))
@@ -245,18 +247,3 @@ def integrate(field, y0, t_span, opts: IntegratorOptions | None = None,
         t=np.array(ts), states=np.array(ys), events=recorded,
         reason=reason, segments=segments,
     )
-
-
-def classify_escape(traj: Trajectory, threshold_x: float = 2.0) -> str:
-    """Escape side of a trajectory: 'left', 'right' or 'none'.
-
-    The x1-threshold (default 2) lies well outside the invariant region of
-    interest |x1| <= 1.2; cubic growth makes the escape monotone past the
-    outer nullcline branches.
-    """
-    x1 = float(traj.final_state[0])
-    if x1 < -threshold_x:
-        return "left"
-    if x1 > threshold_x:
-        return "right"
-    return "none"

@@ -17,7 +17,7 @@ Everything here is a pure function; no shared mutable state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import ClassVar
 
@@ -39,6 +39,9 @@ PBAR_R = -(X_MINUS * (X_MINUS - 1.0) * (0.1 - X_MINUS))
 
 #: Midpoint of the involution in x1 (and y).
 X_INVOLUTION = 11.0 / 15.0
+
+#: Eigenvalue magnitudes below this mark a fold (degenerate) equilibrium.
+FOLD_TOL = 1e-9
 
 
 class DomainError(ValueError):
@@ -79,18 +82,6 @@ def equilibrium_p(x1):
     return x1 - cubic(x1)
 
 
-class CubicNullcline:
-    """Function-object view of the cubic nullcline and its derivatives."""
-
-    c0 = staticmethod(cubic)
-    c0_prime = staticmethod(cubic_prime)
-    c0_second = staticmethod(cubic_second)
-
-    @staticmethod
-    def c(x1, p):
-        return nullcline(x1, p)
-
-
 class EquilibriumKind(str, Enum):
     SADDLE = "saddle"
     SOURCE = "source"
@@ -122,14 +113,6 @@ class ModelParams:
             raise DomainError(f"eps must be >= 0, got {self.eps}")
         if self.s < 0.0:
             raise DomainError(f"s must be >= 0, got {self.s}")
-
-
-@dataclass(frozen=True)
-class FoldPoints:
-    """Fold abscissas x_{1,-} < x_{1,+} of the critical manifold."""
-
-    x_minus: float = X_MINUS
-    x_plus: float = X_PLUS
 
 
 @dataclass
@@ -219,11 +202,6 @@ def fast_jacobian(x1: float, s: float) -> np.ndarray:
     return np.array([[0.0, 1.0], [-0.2 * cubic_prime(x1), s / 5.0]])
 
 
-def fold_points() -> FoldPoints:
-    """Fold points x_{1,±} = (11 ∓ sqrt(91))/30 of the critical manifold."""
-    return FoldPoints()
-
-
 def slow_fold_params() -> tuple[float, float]:
     """Values (p_-, p_+) where the slow-flow equilibrium sits on a fold."""
     return equilibrium_p(X_MINUS), equilibrium_p(X_PLUS)
@@ -255,13 +233,13 @@ def fast_equilibria_x1(pbar: float) -> list[float]:
     return roots
 
 
-def classify_eigenvalues(eigenvalues, fold_tol: float = 1e-9) -> EquilibriumKind:
+def classify_eigenvalues(eigenvalues) -> EquilibriumKind:
     """Equilibrium type from its eigenvalue signature."""
     ev = np.asarray(eigenvalues)
     re = ev.real
-    if np.any(np.abs(re) < fold_tol) or np.any(np.abs(ev) < fold_tol):
+    if np.any(np.abs(re) < FOLD_TOL) or np.any(np.abs(ev) < FOLD_TOL):
         return EquilibriumKind.FOLD_DEGENERATE
-    complex_pair = np.any(np.abs(ev.imag) > fold_tol)
+    complex_pair = np.any(np.abs(ev.imag) > FOLD_TOL)
     if np.all(re > 0):
         return EquilibriumKind.SOURCE
     if np.all(re < 0):

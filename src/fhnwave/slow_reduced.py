@@ -33,6 +33,9 @@ H_MAX = 91.0 * SQRT91 / 6750.0
 #: Fraction of the run used for the attractor summary.
 SUMMARY_WINDOW = 0.2
 
+#: Dense-output samples taken over the summary window.
+SUMMARY_SAMPLES = 4000
+
 #: |x2| peaks above this fraction of the window maximum count as excursions.
 _EXCURSION_FRACTION = 0.3
 
@@ -197,7 +200,7 @@ def _count_excursions(x1: np.ndarray, x2: np.ndarray) -> int:
 
 
 def simulate_reduced(p: float, s: float, eps: float, variant: str = "eq18",
-                     t_end: float = 60.0, n_sample: int = 4000) -> ReducedOrbit:
+                     t_end: float = 60.0) -> ReducedOrbit:
     """Forward orbit of the selected reduction with attractor summary."""
     if s <= 0.0:
         raise DomainError("reduction requires s > 0")
@@ -212,7 +215,7 @@ def simulate_reduced(p: float, s: float, eps: float, variant: str = "eq18",
 
     t_hi = traj.final_time
     t_lo = t_hi * (1.0 - SUMMARY_WINDOW)
-    samples = traj.sample(np.linspace(t_lo, t_hi, n_sample))
+    samples = traj.sample(np.linspace(t_lo, t_hi, SUMMARY_SAMPLES))
     x1 = samples[:, 0]
     if variant == "eq17":
         y = samples[:, 1]

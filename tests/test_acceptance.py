@@ -23,14 +23,13 @@ def _report(num, text):
 
 
 def test_criterion_01_fold_points():
-    folds = model.fold_points()
     exact_minus = (11.0 - math.sqrt(91.0)) / 30.0
     exact_plus = (11.0 + math.sqrt(91.0)) / 30.0
-    assert abs(folds.x_minus - exact_minus) < 1e-12
-    assert abs(folds.x_plus - exact_plus) < 1e-12
-    assert abs(folds.x_minus - 0.0487) < 1e-4
-    assert abs(folds.x_plus - 0.6846) < 1e-4
-    _report(1, f"x_- = {folds.x_minus:.6f}, x_+ = {folds.x_plus:.6f}")
+    assert abs(model.X_MINUS - exact_minus) < 1e-12
+    assert abs(model.X_PLUS - exact_plus) < 1e-12
+    assert abs(model.X_MINUS - 0.0487) < 1e-4
+    assert abs(model.X_PLUS - 0.6846) < 1e-4
+    _report(1, f"x_- = {model.X_MINUS:.6f}, x_+ = {model.X_PLUS:.6f}")
 
 
 def test_criterion_02_slow_flow_bifurcation_values():
@@ -152,12 +151,13 @@ def test_criterion_10_hopf_curve():
     branch = bifurcation.hopf_curve(0.01, n=200, with_l1=False)
     assert len(branch) == 200
     worst_res, worst_re = 0.0, 0.0
-    for pt in branch.meta["points_obj"]:
-        c0, c1, c2 = bifurcation.char_poly_coeffs(pt.x1_star, pt.s, 0.01)
+    for x1, s, p in zip(branch.column("x1_star"), branch.column("s"),
+                        branch.column("p")):
+        c0, c1, c2 = bifurcation.char_poly_coeffs(x1, s, 0.01)
         worst_res = max(worst_res, abs(c0 - c1 * c2))
-        state = np.array([pt.x1_star, 0.0, pt.x1_star])
+        state = np.array([x1, 0.0, x1])
         ev = np.linalg.eigvals(model.full_jacobian(
-            state, ModelParams(pt.p, pt.s, 0.01)))
+            state, ModelParams(p, s, 0.01)))
         pair = sorted(ev, key=lambda w: abs(w.real))[:2]
         worst_re = max(worst_re, max(abs(w.real) for w in pair))
     assert worst_res < 1e-10

@@ -49,6 +49,27 @@ def test_folds_output_deterministic(tmp_path):
     assert (tmp_path / "folds.json").read_bytes() == first
 
 
+def test_artifacts_byte_identical_across_runs(tmp_path):
+    for argv, name in ((["hopf-curve", "--eps", "0.01", "--n", "20"],
+                        "hopf_curve.csv"),
+                       (["canard-stability", "--n", "5"],
+                        "canard_stability.csv")):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run(argv, first) == 0
+        assert run(argv, second) == 0
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def test_artifact_mode_follows_umask(tmp_path):
+    old = os.umask(0o022)
+    try:
+        assert run(["folds"], tmp_path) == 0
+        mode = os.stat(tmp_path / "folds.json").st_mode & 0o777
+        assert mode == 0o666 & ~0o022
+    finally:
+        os.umask(old)
+
+
 def test_slow_bif_identity(tmp_path):
     assert run(["slow-bif"], tmp_path) == 0
     data = read_json(tmp_path / "slow_bif.json")["data"]
@@ -62,12 +83,19 @@ def test_fast_equilibria_inside_band(tmp_path):
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys):
-    # eps far beyond the discriminant zero: no reduced Hopf values exist
-    code = run(["canard", "--eps", "0.5"], tmp_path)
-    assert code == 1
-    diag = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert diag["error"] == "DomainError"
-    assert diag["command"] == "canard"
+    cases = [
+        # eps far beyond the discriminant zero: no reduced Hopf values exist
+        (["canard", "--eps", "0.5"], "DomainError"),
+        # a NaN horizon is rejected up front instead of hanging the integrator
+        (["reduced-orbit", "--p", "0.06", "--s", "1.37", "--eps", "0.01",
+          "--t-end", "nan"], "ValueError"),
+    ]
+    for argv, error in cases:
+        code = run(argv, tmp_path)
+        assert code == 1
+        diag = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert diag["error"] == error
+        assert diag["command"] == argv[0]
 
 
 def test_usage_error_exit_code(tmp_path):

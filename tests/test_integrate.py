@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fhnwave.integrate import (IntegrationError, IntegratorOptions,
-                               Trajectory, classify_escape, integrate)
+from fhnwave.integrate import IntegrationError, IntegratorOptions, integrate
 
 
 def _oscillator(t, y):
@@ -88,7 +87,8 @@ def test_classify_escape():
     opts = IntegratorOptions(rel_tol=1e-9, abs_tol=1e-11, max_time=100.0,
                              escape_radius=4.0)
     traj = integrate(field, np.array([0.0, 0.0]), (0.0, 100.0), opts)
-    assert classify_escape(traj) == "left"
+    assert traj.reason == "escape"
+    assert traj.final_state[0] < -2.0
 
 
 def test_options_validation():
@@ -96,6 +96,14 @@ def test_options_validation():
         IntegratorOptions(rel_tol=-1.0)
     with pytest.raises((ValueError, IntegrationError)):
         IntegratorOptions(abs_tol=0.0)
+    # NaN fails every comparison; accepted, it makes integrate() loop forever
+    for name in ("rel_tol", "abs_tol", "max_time", "escape_radius"):
+        with pytest.raises(ValueError):
+            IntegratorOptions(**{name: float("nan")})
+    for span in ((0.0, float("nan")), (0.0, float("inf")),
+                 (float("nan"), 1.0)):
+        with pytest.raises(ValueError):
+            integrate(_oscillator, np.array([1.0, 0.0]), span)
 
 
 def test_sample_outside_range_rejected():

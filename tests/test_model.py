@@ -10,12 +10,11 @@ from fhnwave.model import DomainError, EquilibriumKind, ModelParams
 
 
 def test_fold_points_exact():
-    folds = model.fold_points()
-    assert abs(folds.x_minus - (11.0 - math.sqrt(91.0)) / 30.0) < 1e-15
-    assert abs(folds.x_plus - (11.0 + math.sqrt(91.0)) / 30.0) < 1e-15
+    assert abs(model.X_MINUS - (11.0 - math.sqrt(91.0)) / 30.0) < 1e-15
+    assert abs(model.X_PLUS - (11.0 + math.sqrt(91.0)) / 30.0) < 1e-15
     # folds are the critical points of the cubic
-    assert abs(model.cubic_prime(folds.x_minus)) < 1e-14
-    assert abs(model.cubic_prime(folds.x_plus)) < 1e-14
+    assert abs(model.cubic_prime(model.X_MINUS)) < 1e-14
+    assert abs(model.cubic_prime(model.X_PLUS)) < 1e-14
 
 
 def test_fold_points_printed_values():
