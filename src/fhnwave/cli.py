@@ -242,6 +242,14 @@ def cmd_singular_diagram(args) -> int:
 
 # ------------------------------------------------------------------ parser
 
+def _positive_int(text: str) -> int:
+    """argparse type for a point count: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fhnwave",
@@ -285,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("hopf-curve", cmd_hopf_curve, "Hopf U-curve at fixed eps")
     sp.add_argument("--eps", type=float, required=True)
-    sp.add_argument("--n", type=int, default=200, help="number of points")
+    sp.add_argument("--n", type=_positive_int, default=200,
+                    help="number of points")
     sp.add_argument("--plot-script", action="store_true",
                     help="also emit a gnuplot script")
 
@@ -301,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("canard-stability", cmd_canard_stability,
              "slow-divergence integral R(h) over the canard family")
-    sp.add_argument("--n", type=int, default=50, help="grid size in h")
+    sp.add_argument("--n", type=_positive_int, default=50,
+                    help="grid size in h")
     sp.add_argument("--abs-tol", type=float, default=1e-10,
                     help="quadrature tolerance")
     sp.add_argument("--plot-script", action="store_true",
@@ -331,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("singular-diagram", cmd_singular_diagram,
              "machine-readable singular (eps = 0) bifurcation diagram")
-    sp.add_argument("--n", type=int, default=25,
+    sp.add_argument("--n", type=_positive_int, default=25,
                     help="points on the fast-wave curve")
 
     return parser

@@ -215,6 +215,8 @@ def fast_equilibria_x1(pbar: float) -> list[float]:
     root-finding on them stays accurate arbitrarily close to the fold
     (double-root) configurations, where a uniform sign scan would fail.
     """
+    if not math.isfinite(pbar):
+        raise DomainError(f"non-finite pbar: {pbar}")
     func = lambda x: cubic(x) + pbar
     lo, hi = -2.0, 2.0
     while func(lo) < 0.0:

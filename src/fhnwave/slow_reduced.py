@@ -76,6 +76,8 @@ def reduced_hopf_values(eps: float) -> tuple[float, float]:
     - eps^3/27); the eps -> 0 limit reproduces the slow-flow fold values
     p_-, p_+.
     """
+    if not 0.0 <= eps < math.inf:  # also rejects NaN
+        raise DomainError(f"eps must be finite and >= 0, got {eps}")
     disc = (11728171.0 / 182250000.0 - 359.0 * eps / 1350.0
             + 509.0 * eps**2 / 2700.0 - eps**3 / 27.0)
     if disc < 0.0:
@@ -86,8 +88,8 @@ def reduced_hopf_values(eps: float) -> tuple[float, float]:
 
 def maximal_canard_p(eps: float) -> float:
     """First-order maximal-canard location p_- + (5/8)*eps near the left fold."""
-    if eps < 0.0:
-        raise DomainError("eps must be >= 0")
+    if not 0.0 <= eps < math.inf:  # also rejects NaN
+        raise DomainError(f"eps must be finite and >= 0, got {eps}")
     return model.equilibrium_p(model.X_MINUS) + 0.625 * eps
 
 
@@ -204,6 +206,8 @@ def simulate_reduced(p: float, s: float, eps: float, variant: str = "eq18",
     """Forward orbit of the selected reduction with attractor summary."""
     if s <= 0.0:
         raise DomainError("reduction requires s > 0")
+    if not 0.0 < t_end < math.inf:  # also rejects NaN
+        raise ValueError(f"t_end must be positive and finite, got {t_end}")
     x1s = model.equilibrium_x1(p)
     z0 = (np.array([x1s + 0.01, x1s]) if variant == "eq17"
           else np.array([x1s + 0.01, 0.0]))

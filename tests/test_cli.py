@@ -89,6 +89,13 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
         # a NaN horizon is rejected up front instead of hanging the integrator
         (["reduced-orbit", "--p", "0.06", "--s", "1.37", "--eps", "0.01",
           "--t-end", "nan"], "ValueError"),
+        (["reduced-orbit", "--p", "0.06", "--s", "1.37", "--eps", "0.01",
+          "--t-end", "-5"], "ValueError"),
+        # non-finite parameters are outside the domain, not artifacts
+        (["canard", "--eps", "nan"], "DomainError"),
+        (["canard", "--eps", "inf"], "DomainError"),
+        (["fast-equilibria", "--pbar", "nan"], "DomainError"),
+        (["fast-equilibria", "--pbar", "inf"], "DomainError"),
     ]
     for argv, error in cases:
         code = run(argv, tmp_path)
@@ -99,9 +106,15 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
 
 
 def test_usage_error_exit_code(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["no-such-command"])
-    assert exc.value.code == 2
+    for argv in (["no-such-command"],
+                 # point counts below 1 (--n 0 once divided by zero)
+                 ["canard-stability", "--n", "0"],
+                 ["hopf-curve", "--eps", "0.01", "--n", "0"],
+                 ["singular-diagram", "--n", "-1"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+    assert not any(tmp_path.iterdir())
 
 
 def test_double_het_artifact(tmp_path):

@@ -28,10 +28,13 @@ def test_energy_drift_small():
 
 def test_dense_output_matches_exact_solution():
     opts = IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12, max_time=50.0)
-    traj = integrate(_oscillator, np.array([1.0, 0.0]), (0.0, 6.0), opts)
-    times = np.linspace(0.1, 5.9, 37)
-    samples = traj.sample(times)
-    assert np.max(np.abs(samples[:, 0] - np.cos(times))) < 1e-8
+    # forward, and backward: the only run whose segment starts decrease
+    for sign in (1.0, -1.0):
+        traj = integrate(_oscillator, np.array([1.0, 0.0]), (0.0, sign * 6.0),
+                         opts)
+        times = sign * np.linspace(0.1, 5.9, 37)
+        samples = traj.sample(times)
+        assert np.max(np.abs(samples[:, 0] - np.cos(times))) < 1e-8
 
 
 def test_event_localization():
