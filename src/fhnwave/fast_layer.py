@@ -11,6 +11,7 @@ zeros of the section gap h(pbar, s).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -243,6 +244,9 @@ def continue_het_curve(seed: HetConnection, step: float = 0.03,
     fails (near the vertical asymptotes the curve steepens).  Returns
     ordered (pbar, s, gap) points; truncation is recorded in ``meta``.
     """
+    for name, value in (("step", step), ("extent", extent)):
+        if not 0.0 < value < math.inf:
+            raise DomainError(f"{name} must be finite and > 0, got {value}")
     branch = CurveBranch(columns=("pbar", "s", "gap"),
                          meta={"direction": seed.direction})
     branch.points.append((seed.pbar, seed.s, seed.section_gap))

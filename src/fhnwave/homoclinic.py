@@ -12,6 +12,7 @@ the classification flips are the homoclinic bifurcation values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -216,10 +217,10 @@ def singular_fast_wave(v: float, gap_tol: float = 1e-8) -> SingularHomoclinic:
 
 def _unstable_direction(p: float, s: float, eps: float):
     """Saddle-focus q and its real unstable direction, oriented x1-up."""
-    info = model.full_equilibrium(p, s, eps)
     params = ModelParams(eps=eps, s=s, p=p)
-    A = model.full_jacobian(info.state, params)
-    w, v = np.linalg.eig(A)
+    x1s = model.equilibrium_x1(p)
+    state = np.array([x1s, 0.0, x1s])
+    w, v = np.linalg.eig(model.full_jacobian(state, params))
     real_pos = [i for i in range(3)
                 if abs(w[i].imag) < 1e-9 * max(1.0, abs(w[i].real))
                 and w[i].real > 0.0]
@@ -230,7 +231,7 @@ def _unstable_direction(p: float, s: float, eps: float):
     direction = direction / np.linalg.norm(direction)
     if direction[0] < 0:
         direction = -direction
-    return info.state, direction
+    return state, direction
 
 
 def escape_side(p: float, s: float, eps: float, offset: float = 1e-8) -> int:
@@ -280,6 +281,9 @@ def locate_c_curve(p: float, eps: float,
     the bundle width count as a single C-curve point; anything other than
     exactly two distinct speeds raises with the count found.
     """
+    if not 0.0 <= bracket_tol < math.inf:
+        raise DomainError(f"bracket_tol must be finite and >= 0, "
+                          f"got {bracket_tol}")
     grid = np.linspace(s_scan[0], s_scan[1], n_scan)
     sides = [escape_side(p, float(s), eps, offset=offset) for s in grid]
     flips = [(float(grid[i]), float(grid[i + 1]), sides[i])

@@ -109,6 +109,10 @@ class ModelParams:
     delta: ClassVar[float] = 5.0
 
     def __post_init__(self):
+        for name in ("p", "s", "eps"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
         if self.eps < 0.0:
             raise DomainError(f"eps must be >= 0, got {self.eps}")
         if self.s < 0.0:
@@ -137,11 +141,20 @@ def branch_of(x1: float) -> Branch:
     return Branch.RIGHT
 
 
-def _check_finite(state) -> np.ndarray:
-    state = np.asarray(state, dtype=float)
-    if not np.all(np.isfinite(state)):
-        raise DomainError(f"non-finite state: {state}")
-    return state
+def _finite_state(state) -> tuple[float, float, float]:
+    """The three components of a wave-ODE state as Python floats.
+
+    Scalar arithmetic on floats is several times cheaper than an array
+    round trip for a three-vector; each component is tested on its own
+    (a sum overflows to inf for finite states such as 1e308 + 1e308).
+    """
+    if isinstance(state, np.ndarray):
+        x1, x2, y = state.tolist()
+    else:
+        x1, x2, y = map(float, state)
+    if not (math.isfinite(x1) and math.isfinite(x2) and math.isfinite(y)):
+        raise DomainError(f"non-finite state: {[x1, x2, y]}")
+    return x1, x2, y
 
 
 def full_field(state, params: ModelParams, timescale: str = "fast") -> np.ndarray:
@@ -150,10 +163,9 @@ def full_field(state, params: ModelParams, timescale: str = "fast") -> np.ndarra
     The fast-time form is (x2, (s*x2 - f(x1) + y - p)/5, eps*(x1 - y)/s);
     the slow-time form is the same divided by eps (requires eps > 0).
     """
-    state = _check_finite(state)
+    x1, x2, y = _finite_state(state)
     if params.s == 0.0:
         raise DomainError("wave-speed division: s = 0")
-    x1, x2, y = state
     rate = np.array(
         [
             x2,
@@ -172,10 +184,9 @@ def full_field(state, params: ModelParams, timescale: str = "fast") -> np.ndarra
 
 def full_jacobian(state, params: ModelParams) -> np.ndarray:
     """Exact Jacobian of the fast-time field at ``state``."""
-    state = _check_finite(state)
+    x1, _, _ = _finite_state(state)
     if params.s == 0.0:
         raise DomainError("wave-speed division: s = 0")
-    x1 = state[0]
     es = params.eps / params.s
     return np.array(
         [
@@ -297,8 +308,7 @@ def symmetry_transform(state, p: float) -> tuple[np.ndarray, float]:
     invariant, which pairs the parameter values p and 2057/3375 - p (in
     particular p_- + p_+ = 2057/3375 exactly).
     """
-    state = _check_finite(state)
-    x1, x2, y = state
+    x1, x2, y = _finite_state(state)
     return (
         np.array([X_INVOLUTION - x1, -x2, X_INVOLUTION - y]),
         P_INVOLUTION - p,

@@ -96,6 +96,11 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
         (["canard", "--eps", "inf"], "DomainError"),
         (["fast-equilibria", "--pbar", "nan"], "DomainError"),
         (["fast-equilibria", "--pbar", "inf"], "DomainError"),
+        (["c-curve", "--eps", "nan", "--p", "0.05"], "DomainError"),
+        # NaN fails every loop test: unchecked, these write truncated artifacts
+        (["c-curve", "--eps", "0.01", "--p", "0.05", "--bracket-tol", "nan"],
+         "DomainError"),
+        (["het-curve", "--s-max", "nan"], "DomainError"),
     ]
     for argv, error in cases:
         code = run(argv, tmp_path)

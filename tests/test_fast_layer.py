@@ -94,6 +94,16 @@ def test_continuation_short_segment():
     assert all(b > a for a, b in zip(s_col, s_col[1:]))
 
 
+@pytest.mark.parametrize("name", ["step", "extent"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -0.1])
+def test_continuation_rejects_bad_step_and_extent(name, bad):
+    seed = fast_layer.HetConnection(pbar=fast_layer.double_het_pbar(), s=0.0,
+                                    direction="left-to-right",
+                                    section_gap=0.0, endpoints=())
+    with pytest.raises(DomainError, match=name):
+        fast_layer.continue_het_curve(seed, **{name: bad})
+
+
 def test_degenerate_left_shot_runs():
     gap = fast_layer.shoot_heteroclinic(model.PBAR_R, 1.4,
                                         degenerate_left=True)

@@ -88,6 +88,13 @@ def test_locate_c_curve_reports_flip_count():
         homoclinic.locate_c_curve(-0.15, 0.01)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-12])
+def test_locate_c_curve_rejects_bad_bracket_tol(tol):
+    # a NaN width would skip the bisection and report scan-cell midpoints
+    with pytest.raises(DomainError, match="bracket_tol"):
+        homoclinic.locate_c_curve(0.05, 0.01, bracket_tol=tol)
+
+
 def test_trace_c_curve_records_failures_and_continues():
     branch = homoclinic.trace_c_curve(0.01, [-0.15, 0.05],
                                       bracket_tol=1e-10)

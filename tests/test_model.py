@@ -123,8 +123,63 @@ def test_params_validation():
         ModelParams(0.0, -1.0, 0.01)
     with pytest.raises(DomainError):
         ModelParams(0.0, 1.0, -0.01)
+    # NaN passes every ordered comparison, so finiteness is its own test
+    for field in ("p", "s", "eps"):
+        for bad in (np.nan, np.inf, -np.inf):
+            values = {"p": 0.05, "s": 1.0, "eps": 0.01, field: bad}
+            with pytest.raises(DomainError, match=f"^{field} must be finite"):
+                ModelParams(**values)
 
 
 def test_nonfinite_state_rejected():
     with pytest.raises(DomainError):
         model.full_field(np.array([np.nan, 0.0, 0.0]), ModelParams(0.0, 1.0, 0.01))
+
+
+def _array_field(state, params):
+    """The wave field by the array formula the scalar one must reproduce."""
+    x1, x2, y = np.asarray(state, dtype=float)
+    return np.array([x2,
+                     0.2 * (params.s * x2 - model.cubic(x1) + y - params.p),
+                     (params.eps / params.s) * (x1 - y)])
+
+
+def test_full_field_bit_identical_to_array_formula():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        params = ModelParams(rng.uniform(-0.3, 0.9), rng.uniform(0.01, 2.0),
+                             10.0 ** rng.uniform(-5, -1))
+        state = rng.normal(scale=10.0 ** rng.uniform(-3, 1), size=3)
+        expected = _array_field(state, params)
+        for given in (state, state.tolist()):
+            fast = model.full_field(given, params)
+            assert fast.dtype == np.float64
+            assert fast.tobytes() == expected.tobytes()
+            slow = model.full_field(given, params, timescale="slow")
+            assert slow.tobytes() == (expected / params.eps).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_nonfinite_component_rejected_by_each_user(bad, position):
+    params = ModelParams(0.05, 1.0, 0.01)
+    state = np.array([0.1, -0.2, 0.3])
+    state[position] = bad
+    for given in (state, state.tolist()):
+        with pytest.raises(DomainError):
+            model.full_field(given, params)
+        with pytest.raises(DomainError):
+            model.full_jacobian(given, params)
+        with pytest.raises(DomainError):
+            model.symmetry_transform(given, params.p)
+
+
+@pytest.mark.parametrize("state", [(1e200, 1e200, 0.0),
+                                   # the sum of these overflows to inf
+                                   (1e308, 1e308, 1e308)])
+def test_huge_finite_state_accepted(state):
+    params = ModelParams(0.05, 1.0, 0.01)
+    for given in (np.array(state), list(state)):
+        model.full_field(given, params)
+        model.full_jacobian(given, params)
+        model.symmetry_transform(given, params.p)
