@@ -63,6 +63,8 @@ def char_poly_coeffs(x1_star: float, s: float, eps: float) -> tuple[float, float
 
 def hopf_interval(eps: float) -> tuple[float, float]:
     """x1* interval where 1 + 10*eps - 22*x1* + 30*x1*^2 < 0."""
+    if not 0.0 <= eps < math.inf:  # also rejects NaN
+        raise DomainError(f"eps must be finite and >= 0, got {eps}")
     disc = 364.0 - 1200.0 * eps
     if disc <= 0.0:
         raise DomainError(f"no Hopf interval at eps={eps}")

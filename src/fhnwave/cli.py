@@ -285,9 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("het-curve", cmd_het_curve,
              "V-shaped curve of layer heteroclinics in (pbar, s)")
     sp.add_argument("--s-max", type=float, default=1.45,
-                    help="largest speed to continue to")
+                    help="largest speed of the grid")
     sp.add_argument("--step", type=float, default=0.03,
-                    help="continuation step in s")
+                    help="spacing of the speed grid")
     sp.add_argument("--plot-script", action="store_true",
                     help="also emit a gnuplot script")
 

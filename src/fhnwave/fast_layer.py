@@ -1,6 +1,6 @@
 """Layer-problem analysis: Hamiltonian structure at s = 0, heteroclinic
-shooting across the mid-section, and continuation of the connection curves
-in (pbar, s) parameter space.
+shooting across the mid-section, and the V-shaped curve of connections in
+(pbar, s) parameter space as bracketed solves on a speed grid.
 
 For s = 0 the layer problem is Hamiltonian with H = x2^2/2 + V(x1); the two
 saddles are connected exactly when they sit on the same potential level,
@@ -28,6 +28,9 @@ GAP_SENTINEL = 1e6
 
 _SHOT_OPTS = IntegratorOptions(rel_tol=1e-11, abs_tol=1e-13, max_time=5000.0)
 
+#: Distance kept from a band edge where it closes a bracket in pbar.
+EDGE_MARGIN = 1e-6
+
 
 def potential(x1, pbar):
     """Potential V(x1) of the s = 0 layer problem, V' = (c0(x1) + pbar)/5."""
@@ -49,7 +52,6 @@ class HetConnection:
     s: float
     direction: str  # "left-to-right" or "right-to-left"
     section_gap: float
-    endpoints: tuple[EquilibriumInfo, EquilibriumInfo]
 
 
 def layer_equilibria(pbar: float, s: float = 0.0) -> list[EquilibriumInfo]:
@@ -82,7 +84,7 @@ def saddle_eigendirections(eq: EquilibriumInfo, s: float,
 
 
 def _shoot_to_section(x0, direction_vec, pbar, s, sigma, backward,
-                      offset, opts, x_lo, x_hi):
+                      offset, x_lo, x_hi):
     """Integrate from a saddle offset until the section x1 = sigma.
 
     Returns (x2_at_crossing, trajectory) or (None, trajectory) when the
@@ -95,8 +97,9 @@ def _shoot_to_section(x0, direction_vec, pbar, s, sigma, backward,
         lambda t, y: y[0] - x_lo,
         lambda t, y: y[0] - x_hi,
     ]
-    span = (0.0, -opts.max_time) if backward else (0.0, opts.max_time)
-    traj = integrate(field, y0, span, opts, events=events)
+    t_end = _SHOT_OPTS.max_time
+    span = (0.0, -t_end) if backward else (0.0, t_end)
+    traj = integrate(field, y0, span, _SHOT_OPTS, events=events)
     if traj.reason == "event" and traj.events[0].index == 0:
         return float(traj.events[0].state[1]), traj
     return None, traj
@@ -111,7 +114,6 @@ def _failure_gap(traj: Trajectory, x_lo, x_hi) -> float:
 
 def shoot_heteroclinic(pbar: float, s: float, offset: float = 1e-8,
                        direction: str = "left-to-right",
-                       opts: IntegratorOptions | None = None,
                        degenerate_left: bool = False) -> float:
     """Section gap h(pbar, s) between the two saddle separatrices.
 
@@ -125,8 +127,6 @@ def shoot_heteroclinic(pbar: float, s: float, offset: float = 1e-8,
     x_{1,-} (saddle-node at pbar = pbar_r); the shot then leaves along the
     strong unstable direction (1, s/5).
     """
-    if opts is None:
-        opts = _SHOT_OPTS
     roots = model.fast_equilibria_x1(pbar)
     if degenerate_left:
         x_l = model.X_MINUS
@@ -152,16 +152,16 @@ def shoot_heteroclinic(pbar: float, s: float, offset: float = 1e-8,
 
     if direction == "left-to-right":
         fwd_x2, fwd = _shoot_to_section(x_l, vu_l, pbar, s, sigma, False,
-                                        offset, opts, x_lo, x_hi)
+                                        offset, x_lo, x_hi)
         bwd_x2, bwd = _shoot_to_section(x_r, vs_r, pbar, s, sigma, True,
-                                        offset, opts, x_lo, x_hi)
+                                        offset, x_lo, x_hi)
     elif direction == "right-to-left":
         if degenerate_left:
             raise DomainError("degenerate-left shot is left-to-right only")
         fwd_x2, fwd = _shoot_to_section(x_r, vu_r, pbar, s, sigma, False,
-                                        offset, opts, x_lo, x_hi)
+                                        offset, x_lo, x_hi)
         bwd_x2, bwd = _shoot_to_section(x_l, vs_l, pbar, s, sigma, True,
-                                        offset, opts, x_lo, x_hi)
+                                        offset, x_lo, x_hi)
     else:
         raise ValueError(f"unknown direction {direction!r}")
 
@@ -174,7 +174,7 @@ def shoot_heteroclinic(pbar: float, s: float, offset: float = 1e-8,
 
 def find_het(direction: str = "left-to-right", pbar: float | None = None,
              s: float | None = None, scan: tuple[float, float] = (0.0, 2.0),
-             gap_tol: float = 1e-10, offset: float = 1e-8,
+             gap_tol: float = 1e-10,
              degenerate_left: bool = False) -> HetConnection:
     """Solve the section gap to zero in the free parameter.
 
@@ -186,10 +186,10 @@ def find_het(direction: str = "left-to-right", pbar: float | None = None,
         raise ValueError("fix exactly one of pbar, s")
 
     if s is None:
-        gap = lambda sv: shoot_heteroclinic(pbar, sv, offset, direction,
+        gap = lambda sv: shoot_heteroclinic(pbar, sv, direction=direction,
                                             degenerate_left=degenerate_left)
     else:
-        gap = lambda pv: shoot_heteroclinic(pv, s, offset, direction,
+        gap = lambda pv: shoot_heteroclinic(pv, s, direction=direction,
                                             degenerate_left=degenerate_left)
 
     lo, hi = scan
@@ -208,15 +208,8 @@ def find_het(direction: str = "left-to-right", pbar: float | None = None,
         raise DomainError(f"gap {residual:.3g} above tolerance at root")
 
     pb, sv = (pbar, root) if s is None else (root, s)
-    roots = model.fast_equilibria_x1(pb)
-    if degenerate_left:
-        endpoints = (model.fast_equilibrium_info(model.X_MINUS, sv),
-                     model.fast_equilibrium_info(max(roots), sv))
-    else:
-        endpoints = (model.fast_equilibrium_info(roots[0], sv),
-                     model.fast_equilibrium_info(roots[-1], sv))
     return HetConnection(pbar=pb, s=sv, direction=direction,
-                         section_gap=residual, endpoints=endpoints)
+                         section_gap=residual)
 
 
 def double_het_pbar() -> float:
@@ -235,76 +228,39 @@ def double_het_pbar() -> float:
                   xtol=1e-14, rtol=1e-15)
 
 
-def continue_het_curve(seed: HetConnection, step: float = 0.03,
-                       extent: float = 1.5, offset: float = 1e-8) -> CurveBranch:
-    """Natural-parameter continuation of a connection curve in s.
-
-    Steps s upward from the seed, re-solving pbar in a window around the
-    previous solution; the window and the step are halved when the solve
-    fails (near the vertical asymptotes the curve steepens).  Returns
-    ordered (pbar, s, gap) points; truncation is recorded in ``meta``.
-    """
-    for name, value in (("step", step), ("extent", extent)):
-        if not 0.0 < value < math.inf:
-            raise DomainError(f"{name} must be finite and > 0, got {value}")
-    branch = CurveBranch(columns=("pbar", "s", "gap"),
-                         meta={"direction": seed.direction})
-    branch.points.append((seed.pbar, seed.s, seed.section_gap))
-
-    pb, sv = seed.pbar, seed.s
-    ds = step
-    window = 0.01
-    reason = "extent-reached"
-    while sv < extent - 1e-12:
-        s_next = min(sv + ds, extent)
-        solved = None
-        w = window
-        for _ in range(8):
-            # keep the scan inside the three-equilibria band
-            lo = max(pb - w, model.PBAR_L + 1e-13)
-            hi = min(pb + w, model.PBAR_R - 1e-13)
-            try:
-                conn = find_het(seed.direction, s=s_next, scan=(lo, hi),
-                                offset=offset)
-                solved = conn
-                break
-            except DomainError:
-                w *= 2.0
-                if w > 0.2:
-                    break
-        if solved is None:
-            ds *= 0.5
-            if ds < 1e-4:
-                reason = "continuation-stall"
-                break
-            continue
-        pb, sv = solved.pbar, s_next
-        branch.points.append((pb, sv, solved.section_gap))
-        window = max(4.0 * abs(branch.points[-1][0] - branch.points[-2][0]),
-                     1e-6)
-        ds = min(step, ds * 1.5)
-    branch.meta["termination"] = reason
-    return branch
-
-
-def het_v_curve(s_max: float = 1.45, step: float = 0.03,
-                offset: float = 1e-8) -> tuple[CurveBranch, CurveBranch]:
+def het_v_curve(s_max: float = 1.45,
+                step: float = 0.03) -> tuple[CurveBranch, CurveBranch]:
     """Both branches of the V-shaped connection curve from its s = 0 vertex.
 
-    Left-to-right connections run from the vertex toward pbar_r; the
-    right-to-left branch mirrors toward pbar_l.
+    Left-to-right connections run from the vertex (pbar*, 0) toward pbar_r,
+    right-to-left ones toward pbar_l.  Along a branch pbar moves
+    monotonically toward its band edge, so each point of the speed grid
+    step, 2*step, ... (capped at s_max) is bracketed between the previous
+    pbar and the edge.  A branch stops at the first speed without a
+    connection; ``meta["termination"]`` says whether it reached s_max.
     """
+    for name, value in (("step", step), ("s_max", s_max)):
+        if not 0.0 < value < math.inf:
+            raise DomainError(f"{name} must be finite and > 0, got {value}")
     pbar_star = double_het_pbar()
     branches = []
-    for direction in ("left-to-right", "right-to-left"):
-        gap0 = shoot_heteroclinic(pbar_star, 0.0, offset, direction)
-        seed = HetConnection(
-            pbar=pbar_star, s=0.0, direction=direction, section_gap=gap0,
-            endpoints=tuple(
-                model.fast_equilibrium_info(x, 0.0)
-                for x in (model.fast_equilibria_x1(pbar_star)[0],
-                          model.fast_equilibria_x1(pbar_star)[-1])),
-        )
-        branches.append(continue_het_curve(seed, step=step, extent=s_max,
-                                           offset=offset))
+    for direction, edge in (("left-to-right", model.PBAR_R - EDGE_MARGIN),
+                            ("right-to-left", model.PBAR_L + EDGE_MARGIN)):
+        pb, sv = pbar_star, 0.0
+        branch = CurveBranch(columns=("pbar", "s", "gap"),
+                             meta={"direction": direction,
+                                   "termination": "extent-reached"})
+        branch.points.append(
+            (pb, sv, shoot_heteroclinic(pb, sv, direction=direction)))
+        while sv < s_max - 1e-12:
+            sv = min(sv + step, s_max)
+            try:
+                conn = find_het(direction, s=sv,
+                                scan=(min(pb, edge), max(pb, edge)))
+            except DomainError:
+                branch.meta["termination"] = "no-connection"
+                break
+            pb = conn.pbar
+            branch.points.append((pb, sv, conn.section_gap))
+        branches.append(branch)
     return branches[0], branches[1]

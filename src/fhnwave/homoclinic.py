@@ -20,7 +20,7 @@ from scipy.optimize import brentq
 
 from . import model
 from .curves import CurveBranch
-from .fast_layer import HetConnection, double_het_pbar, find_het
+from .fast_layer import EDGE_MARGIN, HetConnection, double_het_pbar, find_het
 from .integrate import IntegratorOptions, integrate
 from .model import DomainError, ModelParams
 
@@ -37,6 +37,9 @@ _MIDDLE_X1 = 11.0 / 30.0
 
 #: Flip brackets narrower than this are one (exponentially thin) bundle.
 BUNDLE_WIDTH = 1e-10
+
+#: Section gap accepted at the layer connections of the singular skeleton.
+GAP_TOL = 1e-8
 
 
 @dataclass
@@ -110,7 +113,7 @@ def double_het_point() -> tuple[float, float]:
     return float(p_star), 0.0
 
 
-def s_star(scan: tuple[float, float] = (1.2, 1.8)) -> float:
+def s_star() -> float:
     """Terminal speed of the fast-wave curve at p = p_-.
 
     There the left saddle and the middle equilibrium of the layer problem
@@ -118,12 +121,12 @@ def s_star(scan: tuple[float, float] = (1.2, 1.8)) -> float:
     unstable direction of the saddle-node.
     """
     conn = find_het(direction="left-to-right", pbar=model.PBAR_R,
-                    scan=scan, gap_tol=1e-8, degenerate_left=True)
+                    scan=(1.2, 1.8), gap_tol=GAP_TOL, degenerate_left=True)
     return conn.s
 
 
-def upper_connection(p: float, s_scan: tuple[float, float] = (0.0, 1.6),
-                     gap_tol: float = 1e-8) -> HetConnection:
+def upper_connection(p: float,
+                     s_scan: tuple[float, float] = (0.0, 1.6)) -> HetConnection:
     """Left-to-right layer connection at the equilibrium height y = x1*(p)."""
     if model.equilibrium_x1(p) >= model.X_MINUS:
         raise DomainError(
@@ -134,10 +137,10 @@ def upper_connection(p: float, s_scan: tuple[float, float] = (0.0, 1.6),
         raise DomainError(
             f"height pbar={pbar:.6g} outside the three-equilibria band")
     return find_het(direction="left-to-right", pbar=pbar, scan=s_scan,
-                    gap_tol=gap_tol)
+                    gap_tol=GAP_TOL)
 
 
-def singular_upper_curve(n: int = 30, gap_tol: float = 1e-8) -> CurveBranch:
+def singular_upper_curve(n: int = 30) -> CurveBranch:
     """Fast-wave speed curve s(p) at the equilibrium height (A to C).
 
     Spans the full admissible band between p* and p_-, shrunk by a small
@@ -151,48 +154,44 @@ def singular_upper_curve(n: int = 30, gap_tol: float = 1e-8) -> CurveBranch:
     window = (0.0, 1.7)
     for p in ps:
         try:
-            conn = upper_connection(float(p), s_scan=window, gap_tol=gap_tol)
+            conn = upper_connection(float(p), s_scan=window)
         except DomainError:
-            conn = upper_connection(float(p), gap_tol=gap_tol)
+            conn = upper_connection(float(p))
         branch.points.append((float(p), conn.s, conn.pbar))
         window = (max(0.0, conn.s - 0.2), min(1.7, conn.s + 0.4))
     return branch
 
 
-def return_connection(p: float, v: float,
-                      s_scan: tuple[float, float] = (0.0, 1.6),
-                      gap_tol: float = 1e-8) -> HetConnection:
+def return_connection(p: float, v: float) -> HetConnection:
     """Right-to-left layer connection at the return height y = x1*(p) + v."""
     pbar = equilibrium_pbar(p, v)
     if not model.PBAR_L < pbar < model.PBAR_R:
         raise DomainError(
             f"height pbar={pbar:.6g} outside the three-equilibria band")
-    return find_het(direction="right-to-left", pbar=pbar, scan=s_scan,
-                    gap_tol=gap_tol)
+    return find_het(direction="right-to-left", pbar=pbar, scan=(0.0, 1.6),
+                    gap_tol=GAP_TOL)
 
 
-def return_height_at(p: float, s: float,
-                     gap_tol: float = 1e-8) -> float:
+def return_height_at(p: float, s: float) -> float:
     """Return offset v whose right-to-left connection runs at speed s.
 
     The right-to-left connection at speed s fixes a unique layer parameter
     pbar; the height offset follows from p - x1*(p) - v = pbar.
     """
-    conn = find_het(direction="right-to-left", s=s,
-                    scan=(model.PBAR_L + 1e-6, double_het_pbar() - 1e-9),
-                    gap_tol=gap_tol)
+    scan = (model.PBAR_L + EDGE_MARGIN, double_het_pbar() - 1e-9)
+    conn = find_het(direction="right-to-left", s=s, scan=scan,
+                    gap_tol=GAP_TOL)
     return equilibrium_pbar(p) - conn.pbar
 
 
-def singular_fast_wave(v: float, gap_tol: float = 1e-8) -> SingularHomoclinic:
+def singular_fast_wave(v: float) -> SingularHomoclinic:
     """Singular fast wave with return offset v: the intersection of the
     equilibrium-height curve with the return curve for that v."""
     if v <= 0.0:
         raise DomainError("return height offset v must be positive")
 
     def mismatch(p: float) -> float:
-        return (upper_connection(p, gap_tol=gap_tol).s
-                - return_connection(p, v, gap_tol=gap_tol).s)
+        return upper_connection(p).s - return_connection(p, v).s
 
     p_star, _ = double_het_point()
     lo, hi = p_star + 1e-4, P_MINUS - 1e-4
@@ -208,8 +207,8 @@ def singular_fast_wave(v: float, gap_tol: float = 1e-8) -> SingularHomoclinic:
     p_lo = clip(model.PBAR_L + 1e-4, lo)
     p_hi = clip(double_het_pbar() - 1e-5, hi)
     p_sol = brentq(mismatch, p_lo, p_hi, xtol=1e-11)
-    up = upper_connection(p_sol, gap_tol=gap_tol)
-    down = return_connection(p_sol, v, gap_tol=gap_tol)
+    up = upper_connection(p_sol)
+    down = return_connection(p_sol, v)
     return SingularHomoclinic(p=float(p_sol), s=0.5 * (up.s + down.s),
                               up_connection=up, down_connection=down,
                               v=v, kind="fast-wave")

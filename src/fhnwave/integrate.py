@@ -129,6 +129,9 @@ def integrate(field, y0, t_span, opts: IntegratorOptions | None = None,
     t_bound = t0 + direction * min(abs(tf - t0), opts.max_time)
     solver = DOP853(field, t0, y, t_bound, rtol=opts.rel_tol * TOL_SCALE,
                     atol=opts.abs_tol * TOL_SCALE)
+    if not np.all(np.isfinite(solver.f)):
+        # a NaN first step would keep the stepper rejecting forever
+        raise IntegrationError("non-finite field at the initial state")
 
     ts = [t0]
     ys = [y]

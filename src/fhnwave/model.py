@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import ClassVar
 
 import numpy as np
 from scipy.optimize import brentq
@@ -98,15 +97,11 @@ class Branch(str, Enum):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Parameter triple (p, s, eps) with the frozen model constants."""
+    """Parameter triple (p, s, eps) of the wave ODE."""
 
     p: float
     s: float
     eps: float
-
-    a: ClassVar[float] = 0.1
-    gamma: ClassVar[float] = 1.0
-    delta: ClassVar[float] = 5.0
 
     def __post_init__(self):
         for name in ("p", "s", "eps"):

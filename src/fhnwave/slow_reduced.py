@@ -125,6 +125,8 @@ def canard_stability_R(h: float, abs_tol: float = 1e-10) -> float:
     quadrature split at x = 0, where the numerator vanishes quadratically
     and the denominator linearly (the quotient extends continuously by 0).
     """
+    if not 0.0 < abs_tol < math.inf:  # also rejects NaN
+        raise DomainError(f"abs_tol must be finite and > 0, got {abs_tol}")
     xl, xm = canard_height_roots(h)
 
     def integrand(x):
@@ -204,8 +206,9 @@ def _count_excursions(x1: np.ndarray, x2: np.ndarray) -> int:
 def simulate_reduced(p: float, s: float, eps: float, variant: str = "eq18",
                      t_end: float = 60.0) -> ReducedOrbit:
     """Forward orbit of the selected reduction with attractor summary."""
-    if s <= 0.0:
-        raise DomainError("reduction requires s > 0")
+    for name, value in (("s", s), ("eps", eps)):
+        if not 0.0 < value < math.inf:  # also rejects NaN
+            raise DomainError(f"{name} must be finite and > 0, got {value}")
     if not 0.0 < t_end < math.inf:  # also rejects NaN
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
     x1s = model.equilibrium_x1(p)

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 
 import pytest
 
@@ -53,7 +54,9 @@ def test_artifacts_byte_identical_across_runs(tmp_path):
     for argv, name in ((["hopf-curve", "--eps", "0.01", "--n", "20"],
                         "hopf_curve.csv"),
                        (["canard-stability", "--n", "5"],
-                        "canard_stability.csv")):
+                        "canard_stability.csv"),
+                       (["het-curve", "--s-max", "0.3", "--step", "0.05"],
+                        "het_curve.csv")):
         first, second = tmp_path / "first", tmp_path / "second"
         assert run(argv, first) == 0
         assert run(argv, second) == 0
@@ -83,31 +86,53 @@ def test_fast_equilibria_inside_band(tmp_path):
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys):
+    # (argv, error type, the field the message must name)
     cases = [
         # eps far beyond the discriminant zero: no reduced Hopf values exist
-        (["canard", "--eps", "0.5"], "DomainError"),
+        (["canard", "--eps", "0.5"], "DomainError", "eps"),
         # a NaN horizon is rejected up front instead of hanging the integrator
         (["reduced-orbit", "--p", "0.06", "--s", "1.37", "--eps", "0.01",
-          "--t-end", "nan"], "ValueError"),
+          "--t-end", "nan"], "ValueError", "t_end"),
         (["reduced-orbit", "--p", "0.06", "--s", "1.37", "--eps", "0.01",
-          "--t-end", "-5"], "ValueError"),
+          "--t-end", "-5"], "ValueError", "t_end"),
+        # a NaN speed or eps once hung the stepper; eps 0 died with an
+        # IndexError and an infinite speed wrote an all-zero summary
+        (["reduced-orbit", "--p", "0.06", "--s", "nan", "--eps", "0.01"],
+         "DomainError", "s"),
+        (["reduced-orbit", "--p", "0.06", "--s", "inf", "--eps", "0.01"],
+         "DomainError", "s"),
+        (["reduced-orbit", "--p", "0.06", "--s", "1.37", "--eps", "nan"],
+         "DomainError", "eps"),
+        (["reduced-orbit", "--p", "0.06", "--s", "1.37", "--eps", "0"],
+         "DomainError", "eps"),
         # non-finite parameters are outside the domain, not artifacts
-        (["canard", "--eps", "nan"], "DomainError"),
-        (["canard", "--eps", "inf"], "DomainError"),
-        (["fast-equilibria", "--pbar", "nan"], "DomainError"),
-        (["fast-equilibria", "--pbar", "inf"], "DomainError"),
-        (["c-curve", "--eps", "nan", "--p", "0.05"], "DomainError"),
+        (["canard", "--eps", "nan"], "DomainError", "eps"),
+        (["canard", "--eps", "inf"], "DomainError", "eps"),
+        (["fast-equilibria", "--pbar", "nan"], "DomainError", "pbar"),
+        (["fast-equilibria", "--pbar", "inf"], "DomainError", "pbar"),
+        (["c-curve", "--eps", "nan", "--p", "0.05"], "DomainError", "eps"),
+        (["hopf-curve", "--eps", "nan"], "DomainError", "eps"),
+        (["hopf-curve", "--eps", "-0.01"], "DomainError", "eps"),
+        (["gh-track", "--eps", "nan"], "DomainError", "eps"),
+        (["gh-track", "--eps", "-0.01"], "DomainError", "eps"),
         # NaN fails every loop test: unchecked, these write truncated artifacts
         (["c-curve", "--eps", "0.01", "--p", "0.05", "--bracket-tol", "nan"],
-         "DomainError"),
-        (["het-curve", "--s-max", "nan"], "DomainError"),
+         "DomainError", "bracket_tol"),
+        (["het-curve", "--s-max", "nan"], "DomainError", "s_max"),
+        # the quadrature ignores a NaN tolerance and writes it to the header
+        (["canard-stability", "--n", "3", "--abs-tol", "nan"], "DomainError",
+         "abs_tol"),
+        (["canard-stability", "--n", "3", "--abs-tol", "inf"], "DomainError",
+         "abs_tol"),
     ]
-    for argv, error in cases:
+    for argv, error, name in cases:
         code = run(argv, tmp_path)
-        assert code == 1
+        assert code == 1, argv
         diag = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-        assert diag["error"] == error
+        assert diag["error"] == error, argv
         assert diag["command"] == argv[0]
+        assert re.search(rf"\b{name}\b", diag["message"]), \
+            (argv, diag["message"])
 
 
 def test_usage_error_exit_code(tmp_path):

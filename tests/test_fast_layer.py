@@ -85,23 +85,37 @@ def test_right_to_left_mirrors_left_to_right():
 
 
 def test_continuation_short_segment():
-    seed = fast_layer.find_het(direction="left-to-right", s=0.3,
-                               scan=(fast_layer.double_het_pbar(),
-                                     model.PBAR_R - 1e-6))
-    branch = fast_layer.continue_het_curve(seed, step=0.05, extent=0.5)
-    assert len(branch) >= 4
-    s_col = branch.column("s")
-    assert all(b > a for a, b in zip(s_col, s_col[1:]))
+    left, right = fast_layer.het_v_curve(s_max=0.2, step=0.05)
+    for branch, sign in ((left, 1.0), (right, -1.0)):
+        assert branch.meta["termination"] == "extent-reached"
+        assert branch.column("s") == pytest.approx([0.0, 0.05, 0.1, 0.15,
+                                                    0.2], abs=1e-15)
+        # pbar leaves the vertex monotonically toward the branch's band edge
+        pbar = branch.column("pbar")
+        assert all(sign * (b - a) > 0 for a, b in zip(pbar, pbar[1:]))
+        assert all(abs(g) < 1e-10 for g in branch.column("gap")[1:])
 
 
-@pytest.mark.parametrize("name", ["step", "extent"])
+@pytest.mark.parametrize("name", ["step", "s_max"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -0.1])
 def test_continuation_rejects_bad_step_and_extent(name, bad):
-    seed = fast_layer.HetConnection(pbar=fast_layer.double_het_pbar(), s=0.0,
-                                    direction="left-to-right",
-                                    section_gap=0.0, endpoints=())
     with pytest.raises(DomainError, match=name):
-        fast_layer.continue_het_curve(seed, **{name: bad})
+        fast_layer.het_v_curve(**{name: bad})
+
+
+def test_v_curve_stops_at_first_speed_without_connection():
+    # the connections end at s* ~ 1.508 (the saddle-node limit), so the
+    # grid point 1.6 has none and both branches stop after s = 1.2
+    left, right = fast_layer.het_v_curve(s_max=1.6, step=0.4)
+    center = 0.5 * (model.PBAR_L + model.PBAR_R)
+    for branch in (left, right):
+        assert branch.meta["termination"] == "no-connection"
+        assert branch.column("s")[-1] == pytest.approx(1.2, abs=1e-15)
+    assert len(left) == len(right) == 4
+    # the involution mirrors the two branches about the band centre
+    for (pb_lr, s_lr, _), (pb_rl, s_rl, _) in zip(left.points, right.points):
+        assert s_lr == s_rl
+        assert abs((pb_lr - center) + (pb_rl - center)) < 1e-8
 
 
 def test_degenerate_left_shot_runs():

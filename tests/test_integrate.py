@@ -109,6 +109,13 @@ def test_options_validation():
             integrate(_oscillator, np.array([1.0, 0.0]), span)
 
 
+def test_nonfinite_initial_field_raises():
+    # a NaN first step once kept the stepper rejecting forever
+    field = lambda t, y: np.array([float("nan"), y[0]])
+    with pytest.raises(IntegrationError, match="field"):
+        integrate(field, np.array([1.0, 0.0]), (0.0, 1.0))
+
+
 def test_sample_outside_range_rejected():
     opts = IntegratorOptions(rel_tol=1e-9, abs_tol=1e-11, max_time=10.0)
     traj = integrate(_oscillator, np.array([1.0, 0.0]), (0.0, 1.0), opts)
