@@ -10,7 +10,8 @@ of the fast-time Jacobian has a pure imaginary pair exactly when c0 = c1*c2
     p(x1*)   = x1*^3 - 1.1*x1*^2 + 1.1*x1*
 
 The p(x1*) used here is the equilibrium condition p = x1 - c0(x1),
-written out as the cubic above.
+written out as the cubic above.  The coefficients and the first Lyapunov
+coefficient are closed forms: no point runs an eigensolve or linear solve.
 """
 
 from __future__ import annotations
@@ -53,12 +54,15 @@ class HopfPoint:
 
 
 def char_poly_coeffs(x1_star: float, s: float, eps: float) -> tuple[float, float, float]:
-    """Monic characteristic-polynomial coefficients (c0, c1, c2) at the
-    equilibrium abscissa x1_star (fast-time Jacobian)."""
-    state = np.array([x1_star, 0.0, x1_star])
-    params = model.ModelParams(model.equilibrium_p(x1_star), s, eps)
-    coeffs = np.poly(model.full_jacobian(state, params))
-    return float(coeffs[3]), float(coeffs[2]), float(coeffs[1])
+    """Monic characteristic-polynomial coefficients (c0, c1, c2) of the
+    fast-time Jacobian [[0, 1, 0], [a, sigma, 1/5], [e, 0, -e]] at x1_star,
+    where a = -c0'(x1*)/5, sigma = s/5 and e = eps/s."""
+    if not (math.isfinite(x1_star) and 0.0 < s < math.inf
+            and 0.0 <= eps < math.inf):  # also rejects NaN
+        raise DomainError(f"need finite x1_star, s > 0, eps >= 0: {x1_star}, {s}, {eps}")
+    a = -0.2 * model.cubic_prime(x1_star)
+    sigma, e = s / 5.0, eps / s
+    return -e * (a + 0.2), -a - sigma * e, e - sigma
 
 
 def hopf_interval(eps: float) -> tuple[float, float]:
@@ -80,11 +84,10 @@ def hopf_point(x1_star: float, eps: float, with_l1: bool = True) -> HopfPoint:
     s = math.sqrt(50.0 * eps * (eps - 1.0) / denom)
     p = model.equilibrium_p(x1_star)
     c0, c1, c2 = char_poly_coeffs(x1_star, s, eps)
-    residual = abs(c0 - c1 * c2)
     omega = math.sqrt(c1) if c1 > 0.0 else float("nan")
     point = HopfPoint(p=p, s=s, eps=eps, x1_star=x1_star, omega=omega,
                       l1=float("nan"), criticality="degenerate",
-                      residual=residual)
+                      residual=abs(c0 - c1 * c2))
     if with_l1:
         try:
             point.l1 = lyapunov_l1(point)
@@ -124,54 +127,36 @@ def hopf_asymptotes() -> dict:
     }
 
 
-def _hopf_eigendata(A: np.ndarray):
-    """Right/left eigenvectors for the near-imaginary pair of A."""
-    w, v = np.linalg.eig(A)
-    idx = int(np.argmin(np.abs(w.real) + np.where(w.imag > 0, 0.0, np.inf)))
-    omega = w[idx].imag
-    q = v[:, idx]
-    wl, vl = np.linalg.eig(A.T)
-    jdx = int(np.argmin(np.abs(wl - np.conj(w[idx]))))
-    pvec = vl[:, jdx]
-    pvec = pvec / np.conj(np.vdot(pvec, q))  # <p, q> = 1
-    return omega, q, pvec
-
-
 def lyapunov_l1(point: HopfPoint) -> float:
     """First Lyapunov coefficient at a Hopf point of the full system.
 
-    Uses the standard 3-D projection formula onto the center eigenspace
-    with the multilinear forms of the quadratic and cubic Taylor terms;
-    only the cubic nullcline contributes nonlinearity, so B and C act on
-    the x1-components alone.  The magnitude follows the usual genericity
-    normalization; only the sign and its zero crossings are used here.
+    Kuznetsov's projection formula in closed form.  B and C are multiples
+    of e2 that read x1-components only, so each linear solve reduces to the
+    x1-component of a solve against e2.  The eigenvectors A q = i*omega*q,
+    A^T p = -i*omega*p are q = (1, i*omega, e/(i*omega + e)) and
+    p = (-i*omega - sigma, 1, (1/5)/(e - i*omega)); scaling q to unit norm
+    (l1 scales with |q|^2) and p to <p, q> = 1 leaves the common factor
+    1/(|q|^2 <p, q>).  Only the sign and its zero crossings are used.
     """
     c0, c1, c2 = char_poly_coeffs(point.x1_star, point.s, point.eps)
     scale = max(1.0, abs(c0), abs(c1 * c2))  # coefficients grow ~s^2 near the asymptotes
     if abs(c0 - c1 * c2) > RESIDUAL_TOL * scale:
         raise DomainError(f"not on the Hopf set: residual {point.residual:.3g}")
-    state = np.array([point.x1_star, 0.0, point.x1_star])
-    params = model.ModelParams(point.p, point.s, point.eps)
-    A = model.full_jacobian(state, params)
-    omega, q, pvec = _hopf_eigendata(A)
-    if abs(omega) < OMEGA_DEGENERATE:
+    omega = math.sqrt(c1) if c1 > 0.0 else 0.0
+    if omega < OMEGA_DEGENERATE:
         return float("nan")
 
+    a = -0.2 * model.cubic_prime(point.x1_star)
+    sigma, e, iw = point.s / 5.0, point.eps / point.s, 1j * omega
+    q_norm2 = 1.0 + c1 + e * e / (c1 + e * e)
+    p_dot_q = 2.0 * iw - sigma + 0.2 * e / (e + iw) ** 2
     b2 = -0.2 * model.cubic_second(point.x1_star)  # d2(x2')/dx1^2
     c3 = -0.2 * model.cubic_third()                # d3(x2')/dx1^3
-
-    def B(u, v):
-        return np.array([0.0, b2 * u[0] * v[0], 0.0])
-
-    def C(u, v, w):
-        return np.array([0.0, c3 * u[0] * v[0] * w[0], 0.0])
-
-    qb = np.conj(q)
-    eye = np.eye(3)
-    term1 = np.vdot(pvec, C(q, q, qb))
-    term2 = -2.0 * np.vdot(pvec, B(q, np.linalg.solve(A, B(q, qb))))
-    term3 = np.vdot(pvec, B(qb, np.linalg.solve(2j * omega * eye - A, B(q, q))))
-    return float((term1 + term2 + term3).real / (2.0 * omega))
+    solve_0 = 1.0 / (a + 0.2)                      # (A^-1 e2)_1
+    solve_2w = 1.0 / (-a + (2.0 * iw - sigma) * 2.0 * iw
+                      - 0.2 * e / (2.0 * iw + e))  # ((2i omega - A)^-1 e2)_1
+    terms = (c3 - 2.0 * b2 * b2 * solve_0 + b2 * b2 * solve_2w) / (q_norm2 * p_dot_q)
+    return terms.real / (2.0 * omega)
 
 
 def gh_locate(eps: float, n_scan: int = 160) -> list[HopfPoint]:

@@ -322,7 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--s", type=float, required=True)
     sp.add_argument("--eps", type=float, required=True)
-    sp.add_argument("--variant", choices=("eq17", "eq18"), default="eq18")
+    sp.add_argument("--variant", choices=("eq17", "eq18"), default="eq18",
+                    help="reduction chart; eq18 escapes (exit 1) on "
+                         "oscillations with s*eps below ~4e-3, eq17 holds")
     sp.add_argument("--t-end", type=float, default=60.0,
                     help="slow-time horizon")
 

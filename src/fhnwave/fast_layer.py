@@ -31,6 +31,11 @@ _SHOT_OPTS = IntegratorOptions(rel_tol=1e-11, abs_tol=1e-13, max_time=5000.0)
 #: Distance kept from a band edge where it closes a bracket in pbar.
 EDGE_MARGIN = 1e-6
 
+#: Smallest V-curve speed step.  At 1e-12 the connection moves less in pbar
+#: than the ~1e-13 section-gap noise, so a branch could end early as
+#: "no-connection"; steps down to 2e-12 ran complete, 1e-10 keeps a margin.
+MIN_STEP = 1e-10
+
 
 def potential(x1, pbar):
     """Potential V(x1) of the s = 0 layer problem, V' = (c0(x1) + pbar)/5."""
@@ -56,6 +61,8 @@ class HetConnection:
 
 def layer_equilibria(pbar: float, s: float = 0.0) -> list[EquilibriumInfo]:
     """Equilibria of the layer problem, sorted by x1."""
+    if not math.isfinite(s):
+        raise DomainError(f"s must be finite, got {s}")
     return [model.fast_equilibrium_info(x, s) for x in model.fast_equilibria_x1(pbar)]
 
 
@@ -242,6 +249,8 @@ def het_v_curve(s_max: float = 1.45,
     for name, value in (("step", step), ("s_max", s_max)):
         if not 0.0 < value < math.inf:
             raise DomainError(f"{name} must be finite and > 0, got {value}")
+    if step < MIN_STEP:
+        raise DomainError(f"step must be >= {MIN_STEP:g}, got {step}")
     pbar_star = double_het_pbar()
     branches = []
     for direction, edge in (("left-to-right", model.PBAR_R - EDGE_MARGIN),

@@ -270,6 +270,8 @@ def fast_equilibrium_info(x1: float, s: float) -> EquilibriumInfo:
 
 def equilibrium_x1(p: float) -> float:
     """The unique real root of x1 - c(x1; p) = 0."""
+    if not math.isfinite(p):
+        raise DomainError(f"p must be finite, got {p}")
     func = lambda x: equilibrium_p(x) - p
     lo, hi = -2.0, 2.0
     while func(lo) > 0.0:

@@ -205,7 +205,9 @@ def _count_excursions(x1: np.ndarray, x2: np.ndarray) -> int:
 
 def simulate_reduced(p: float, s: float, eps: float, variant: str = "eq18",
                      t_end: float = 60.0) -> ReducedOrbit:
-    """Forward orbit of the selected reduction with attractor summary."""
+    """Forward orbit of the selected reduction with attractor summary.  For
+    p in [0.055, 0.065], eps in [1e-3, 1e-2] the eq18 chart escapes
+    (DomainError) once s*eps < ~4e-3 on an oscillating orbit; eq17 holds."""
     for name, value in (("s", s), ("eps", eps)):
         if not 0.0 < value < math.inf:  # also rejects NaN
             raise DomainError(f"{name} must be finite and > 0, got {value}")

@@ -110,6 +110,16 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
         (["canard", "--eps", "inf"], "DomainError", "eps"),
         (["fast-equilibria", "--pbar", "nan"], "DomainError", "pbar"),
         (["fast-equilibria", "--pbar", "inf"], "DomainError", "pbar"),
+        # a non-finite speed once surfaced as numpy's LinAlgError
+        (["fast-equilibria", "--pbar", "-0.05", "--s", "nan"], "DomainError",
+         "s"),
+        (["fast-equilibria", "--pbar", "-0.05", "--s", "inf"], "DomainError",
+         "s"),
+        # a non-finite p once surfaced as brentq's "function value is NaN"
+        (["reduced-orbit", "--p", "nan", "--s", "1.37", "--eps", "0.01"],
+         "DomainError", "p"),
+        (["reduced-orbit", "--p", "inf", "--s", "1.37", "--eps", "0.01"],
+         "DomainError", "p"),
         (["c-curve", "--eps", "nan", "--p", "0.05"], "DomainError", "eps"),
         (["hopf-curve", "--eps", "nan"], "DomainError", "eps"),
         (["hopf-curve", "--eps", "-0.01"], "DomainError", "eps"),

@@ -96,11 +96,17 @@ def test_continuation_short_segment():
         assert all(abs(g) < 1e-10 for g in branch.column("gap")[1:])
 
 
-@pytest.mark.parametrize("name", ["step", "s_max"])
-@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -0.1])
+@pytest.mark.parametrize(
+    ("bad", "name"),
+    [(bad, name) for bad in (np.nan, np.inf, 0.0, -0.1)
+     for name in ("step", "s_max")] + [(1e-12, "step")])
 def test_continuation_rejects_bad_step_and_extent(name, bad):
+    # the other argument keeps a valid value; a step below the floor makes
+    # this het_v_curve(3e-12, 1e-12), which ended its right-to-left branch
+    # after one point as "no-connection" before the floor was enforced
+    kwargs = {"s_max": 3e-12, "step": 1e-10, name: bad}
     with pytest.raises(DomainError, match=name):
-        fast_layer.het_v_curve(**{name: bad})
+        fast_layer.het_v_curve(**kwargs)
 
 
 def test_v_curve_stops_at_first_speed_without_connection():

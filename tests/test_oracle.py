@@ -1,15 +1,23 @@
-"""Shots cross-checked against an integrator that shares no code with ours.
+"""Package results cross-checked against oracles that share no code with
+them.
 
-The package integrator is an explicit Runge-Kutta pair (DOP853); the
-oracle is scipy's implicit Radau IIA method with the analytic Jacobian at
-tight tolerance.  Only the starting points (equilibria and eigenvectors)
-come from the package.
+Shots: the package integrator is an explicit Runge-Kutta pair (DOP853);
+the oracle is scipy's implicit Radau IIA method with the analytic Jacobian
+at tight tolerance.  Only the starting points (equilibria and
+eigenvectors) come from the package.
+
+Hopf algebra: the package evaluates the characteristic polynomial and the
+first Lyapunov coefficient in closed form; the oracles are numpy's
+``poly`` and the projection formula evaluated with LAPACK eigenvectors and
+linear solves on the Jacobian matrix.
 """
 
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
-from fhnwave import fast_layer, homoclinic, model
+from fhnwave import bifurcation, fast_layer, homoclinic, model
 from fhnwave.model import ModelParams
 
 
@@ -54,3 +62,62 @@ def test_shots_match_radau_oracle():
     gap = fwd[1] - bwd[1]
     assert abs(gap) > 1e-2
     assert abs(fast_layer.shoot_heteroclinic(pbar, s) - gap) < 1e-10
+
+
+def _jacobian(x1, s, eps):
+    params = ModelParams(model.equilibrium_p(x1), s, eps)
+    return model.full_jacobian(np.array([x1, 0.0, x1]), params)
+
+
+def _oracle_l1(x1, s, eps):
+    """(omega, l1) from eigenvectors and solves of the Jacobian matrix."""
+    A = _jacobian(x1, s, eps)
+    w, v = np.linalg.eig(A)
+    idx = int(np.argmin(np.abs(w.real) + np.where(w.imag > 0, 0.0, np.inf)))
+    omega = w[idx].imag
+    q = v[:, idx]
+    wl, vl = np.linalg.eig(A.T)
+    pvec = vl[:, int(np.argmin(np.abs(wl - np.conj(w[idx]))))]
+    pvec = pvec / np.conj(np.vdot(pvec, q))  # <p, q> = 1
+    b2 = -0.2 * model.cubic_second(x1)
+    c3 = -0.2 * model.cubic_third()
+
+    def B(u, v):
+        return np.array([0.0, b2 * u[0] * v[0], 0.0])
+
+    qb = np.conj(q)
+    term1 = np.vdot(pvec, np.array([0.0, c3 * q[0] * q[0] * qb[0], 0.0]))
+    term2 = -2.0 * np.vdot(pvec, B(q, np.linalg.solve(A, B(q, qb))))
+    term3 = np.vdot(pvec, B(qb, np.linalg.solve(2j * omega * np.eye(3) - A,
+                                                B(q, q))))
+    return omega, float((term1 + term2 + term3).real / (2.0 * omega))
+
+
+def _char_poly_error(x1, s, eps):
+    """Largest deviation of char_poly_coeffs from numpy's, relative to
+    max(1, |c|)."""
+    _, c2, c1, c0 = np.poly(_jacobian(x1, s, eps))
+    return max(abs(got - want) / max(1.0, abs(want)) for got, want in
+               zip(bifurcation.char_poly_coeffs(x1, s, eps), (c0, c1, c2)))
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
+def test_closed_form_hopf_matches_eigensolver_oracle(eps):
+    lo, hi = bifurcation.hopf_interval(eps)
+    # the end points sit 1e-6 inside the interval, where s is 16 (eps 1e-4)
+    # to 162 (eps 1e-2)
+    xs = np.linspace(lo + 1e-6, hi - 1e-6, 50)
+    for x1 in map(float, xs):
+        pt = bifurcation.hopf_point(x1, eps)
+        omega, l1 = _oracle_l1(x1, pt.s, eps)
+        assert abs(pt.omega - omega) <= 1e-9 * omega, x1
+        assert abs(pt.l1 - l1) <= 1e-9 * abs(l1), x1
+        assert pt.criticality == ("super" if l1 < 0.0 else "sub"), x1
+        assert _char_poly_error(x1, pt.s, eps) <= 1e-12, x1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(x1=st.floats(-1.0, 2.0), s=st.floats(1e-2, 10.0),
+       eps=st.floats(0.0, 0.5))
+def test_char_poly_coeffs_match_numpy_poly(x1, s, eps):
+    assert _char_poly_error(x1, s, eps) <= 1e-12
