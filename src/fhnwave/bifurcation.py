@@ -164,9 +164,10 @@ def gh_locate(eps: float, n_scan: int = 160) -> list[HopfPoint]:
     Hopf curve.
 
     Scans l1 over the x1* sweep, then refines each sign change by a
-    bracketed solve.  The sweep stops at x1* = 11/30; the curve is
-    symmetric about that abscissa, so the right-half points are the mirror
-    images of the left-half ones.
+    bracketed solve.  Each point returned is labelled ``degenerate``: its
+    l1 is a root, so the sign left there is round-off.  The sweep stops at
+    x1* = 11/30; the curve is symmetric about that abscissa, so the
+    right-half points are the mirror images of the left-half ones.
     """
     lo, hi = hopf_interval(eps)
     hi = min(hi, 11.0 / 30.0)
@@ -184,7 +185,9 @@ def gh_locate(eps: float, n_scan: int = 160) -> list[HopfPoint]:
         if np.isnan(a) or np.isnan(b) or a * b > 0.0:
             continue
         x_root = brentq(l1_of, xs[i], xs[i + 1], xtol=1e-13, rtol=1e-14)
-        found.append(hopf_point(float(x_root), eps))
+        point = hopf_point(float(x_root), eps)
+        point.criticality = "degenerate"
+        found.append(point)
     return found
 
 

@@ -1,10 +1,15 @@
 """Command-line surface: one subcommand per bifurcation-diagram artifact.
 
-Every subcommand writes a CSV or JSON artifact with a metadata header
-(schema version, parameters, tolerances) into the output directory
-(``--out-dir`` or the FHNWAVE_OUT_DIR environment variable, default the
-working directory).  Writes are atomic (write-then-rename) and, for fixed
-inputs, byte-identical on one platform.
+Each ``cmd_*`` handler only computes: it returns ``(file_name, payload,
+meta)``, where the payload is a ``CurveBranch`` (written as CSV) or a
+``dict`` (written as JSON) and ``meta`` goes into the metadata header.
+``main`` alone writes the artifact, with its header (schema version,
+parameters, tolerances), into the output directory (``--out-dir`` or the
+FHNWAVE_OUT_DIR environment variable, default the working directory),
+adds the gnuplot script asked for by ``--plot-script`` and prints the
+path.  A failing command creates no directory and no file.  Writes are
+atomic (write-then-rename) and, for fixed inputs, byte-identical on one
+platform.
 
 Exit codes: 0 success, 1 numerical failure (a diagnostic JSON is printed),
 2 usage error.
@@ -13,6 +18,7 @@ Exit codes: 0 success, 1 numerical failure (a diagnostic JSON is printed),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -26,6 +32,9 @@ from .integrate import IntegrationError
 from .model import DomainError
 
 SCHEMA_VERSION = 1
+
+#: What a ``cmd_*`` handler returns: (file_name, payload, meta).
+Artifact = tuple[str, dict | CurveBranch, dict]
 
 
 # ---------------------------------------------------------------- emission
@@ -75,169 +84,123 @@ def _out_path(args, default_name: str) -> str:
     return os.path.join(out_dir, default_name)
 
 
-def _maybe_plot_script(args, csv_path: str, xcol: str, ycol: str) -> None:
-    if not getattr(args, "plot_script", False):
-        return
-    name = os.path.splitext(csv_path)[0]
-    script = (f"set datafile separator ','\n"
-              f"plot '{os.path.basename(csv_path)}' "
-              f"using '{xcol}':'{ycol}' with linespoints\n")
-    _atomic_write(name + ".gp", script)
+def _stack(columns: tuple[str, ...], labelled) -> CurveBranch:
+    """One branch of the rows of (label, branch) pairs, each row prefixed
+    with its label."""
+    return CurveBranch(columns=columns,
+                       points=[(label,) + tuple(pt)
+                               for label, br in labelled for pt in br.points])
 
 
 # ------------------------------------------------------------- subcommands
 
-def cmd_folds(args) -> int:
+def cmd_folds(args) -> Artifact:
     p_minus, p_plus = model.slow_fold_params()
-    path = _out_path(args, "folds.json")
-    write_json(path, {"x_minus": model.X_MINUS, "x_plus": model.X_PLUS,
-                      "p_minus": p_minus, "p_plus": p_plus}, {})
-    print(path)
-    return 0
+    return "folds.json", {"x_minus": model.X_MINUS, "x_plus": model.X_PLUS,
+                          "p_minus": p_minus, "p_plus": p_plus}, {}
 
 
-def cmd_slow_bif(args) -> int:
+def cmd_slow_bif(args) -> Artifact:
     p_minus, p_plus = model.slow_fold_params()
-    path = _out_path(args, "slow_bif.json")
-    write_json(path, {
+    return "slow_bif.json", {
         "p_minus": p_minus, "p_plus": p_plus,
         "sum": p_minus + p_plus,
         "involution_p": model.P_INVOLUTION,
-    }, {})
-    print(path)
-    return 0
+    }, {}
 
 
-def cmd_fast_equilibria(args) -> int:
+def cmd_fast_equilibria(args) -> Artifact:
     eqs = fast_layer.layer_equilibria(args.pbar, args.s)
     data = [{"x1": eq.x1, "kind": eq.kind.value, "branch": eq.branch.value,
              "eigenvalues_re": [float(w.real) for w in eq.eigenvalues],
              "eigenvalues_im": [float(w.imag) for w in eq.eigenvalues]}
             for eq in eqs]
-    path = _out_path(args, "fast_equilibria.json")
-    write_json(path, {"equilibria": data,
-                      "pbar_l": model.PBAR_L, "pbar_r": model.PBAR_R},
-               {"pbar": args.pbar, "s": args.s})
-    print(path)
-    return 0
+    return "fast_equilibria.json", {
+        "equilibria": data, "pbar_l": model.PBAR_L, "pbar_r": model.PBAR_R,
+    }, {"pbar": args.pbar, "s": args.s}
 
 
-def cmd_double_het(args) -> int:
+def cmd_double_het(args) -> Artifact:
     pbar_star = fast_layer.double_het_pbar()
     gap = fast_layer.shoot_heteroclinic(pbar_star, 0.0, offset=args.offset)
     p_star, _ = homoclinic.double_het_point()
-    path = _out_path(args, "double_het.json")
-    write_json(path, {"pbar_star": pbar_star, "section_gap": gap,
-                      "p_star": p_star}, {"offset": args.offset})
-    print(path)
-    return 0
+    return "double_het.json", {"pbar_star": pbar_star, "section_gap": gap,
+                               "p_star": p_star}, {"offset": args.offset}
 
 
-def cmd_het_curve(args) -> int:
+def cmd_het_curve(args) -> Artifact:
     left, right = fast_layer.het_v_curve(s_max=args.s_max, step=args.step)
-    merged = CurveBranch(columns=("branch", "pbar", "s", "section_gap"))
-    for name, br in (("left-to-right", left), ("right-to-left", right)):
-        for pt in br.points:
-            merged.points.append((name,) + tuple(pt))
-    path = _out_path(args, "het_curve.csv")
-    write_csv(path, merged, {"s_max": args.s_max, "step": args.step})
-    _maybe_plot_script(args, path, "pbar", "s")
-    print(path)
-    return 0
+    merged = _stack(("branch", "pbar", "s", "section_gap"),
+                    (("left-to-right", left), ("right-to-left", right)))
+    return "het_curve.csv", merged, {"s_max": args.s_max, "step": args.step}
 
 
-def cmd_hopf_curve(args) -> int:
+def cmd_hopf_curve(args) -> Artifact:
     branch = bifurcation.hopf_curve(args.eps, n=args.n)
-    path = _out_path(args, "hopf_curve.csv")
     asym = bifurcation.hopf_asymptotes()
-    meta = {"eps": args.eps, "n": args.n,
-            "asymptote_p_minus": asym["p_minus"],
-            "asymptote_p_plus": asym["p_plus"]}
-    write_csv(path, branch, meta)
-    _maybe_plot_script(args, path, "p", "s")
-    print(path)
-    return 0
+    return "hopf_curve.csv", branch, {
+        "eps": args.eps, "n": args.n,
+        "asymptote_p_minus": asym["p_minus"],
+        "asymptote_p_plus": asym["p_plus"]}
 
 
-def cmd_gh_track(args) -> int:
+def cmd_gh_track(args) -> Artifact:
     b1, b2 = bifurcation.gh_track(args.eps)
-    merged = CurveBranch(columns=("gh",) + b1.columns)
-    for idx, br in ((1, b1), (2, b2)):
-        for pt in br.points:
-            merged.points.append((idx,) + tuple(pt))
     meta = {"eps_grid": args.eps}
     for idx, br in ((1, b1), (2, b2)):
         meta[f"gh{idx}_p_limit"] = bifurcation.extrapolate_to_zero(
             br.column("p"))
         meta[f"gh{idx}_s_limit"] = bifurcation.extrapolate_to_zero(
             br.column("s"))
-    path = _out_path(args, "gh_track.csv")
-    write_csv(path, merged, meta)
-    print(path)
-    return 0
+    return ("gh_track.csv",
+            _stack(("gh",) + b1.columns, ((1, b1), (2, b2))), meta)
 
 
-def cmd_canard(args) -> int:
+def cmd_canard(args) -> Artifact:
     info = slow_reduced.canard_info(args.eps)
-    path = _out_path(args, "canard.json")
-    write_json(path, {"eps": info.eps, "p_maximal": info.p_maximal,
-                      "p_hopf_minus": info.p_hopf_minus,
-                      "p_hopf_plus": info.p_hopf_plus}, {})
-    print(path)
-    return 0
+    return "canard.json", {"eps": info.eps, "p_maximal": info.p_maximal,
+                           "p_hopf_minus": info.p_hopf_minus,
+                           "p_hopf_plus": info.p_hopf_plus}, {}
 
 
-def cmd_canard_stability(args) -> int:
+def cmd_canard_stability(args) -> Artifact:
     hs = np.linspace(slow_reduced.H_MAX / args.n, slow_reduced.H_MAX, args.n)
     branch = CurveBranch(columns=("h", "R"))
     for h in hs:
         branch.points.append((float(h), slow_reduced.canard_stability_R(
             float(h), abs_tol=args.abs_tol)))
-    path = _out_path(args, "canard_stability.csv")
-    write_csv(path, branch, {"n": args.n, "abs_tol": args.abs_tol})
-    _maybe_plot_script(args, path, "h", "R")
-    print(path)
-    return 0
+    return "canard_stability.csv", branch, {"n": args.n,
+                                            "abs_tol": args.abs_tol}
 
 
-def cmd_reduced_orbit(args) -> int:
+def cmd_reduced_orbit(args) -> Artifact:
     orbit = slow_reduced.simulate_reduced(args.p, args.s, args.eps,
                                           variant=args.variant,
                                           t_end=args.t_end)
-    path = _out_path(args, "reduced_orbit.json")
-    write_json(path, {
+    return "reduced_orbit.json", {
         "x1_amplitude": orbit.x1_amplitude,
         "x1_peak_to_peak": orbit.x1_peak_to_peak,
         "x2_amplitude": orbit.x2_amplitude,
         "x2_max": orbit.x2_max,
         "x2_excursions": orbit.x2_excursions,
     }, {"p": args.p, "s": args.s, "eps": args.eps, "variant": args.variant,
-        "t_end": args.t_end})
-    print(path)
-    return 0
+        "t_end": args.t_end}
 
 
-def cmd_c_curve(args) -> int:
-    branch = CurveBranch(columns=("p", "s1", "s2", "eps", "bracket_width"))
+def cmd_c_curve(args) -> Artifact:
+    branch = CurveBranch(columns=homoclinic.C_CURVE_COLUMNS)
     for p in args.p:
-        pt = homoclinic.locate_c_curve(p, args.eps,
-                                       s_scan=(args.s_lo, args.s_hi),
-                                       bracket_tol=args.bracket_tol)
-        branch.points.append((pt.p, pt.s1, pt.s2, pt.eps, pt.bracket_width))
-    path = _out_path(args, "c_curve.csv")
-    write_csv(path, branch, {"eps": args.eps, "bracket_tol": args.bracket_tol,
-                             "s_scan": (args.s_lo, args.s_hi)})
-    _maybe_plot_script(args, path, "p", "s2")
-    print(path)
-    return 0
+        branch.points.append(homoclinic.locate_c_curve(
+            p, args.eps, s_scan=(args.s_lo, args.s_hi),
+            bracket_tol=args.bracket_tol).row())
+    return "c_curve.csv", branch, {"eps": args.eps,
+                                   "bracket_tol": args.bracket_tol,
+                                   "s_scan": (args.s_lo, args.s_hi)}
 
 
-def cmd_singular_diagram(args) -> int:
+def cmd_singular_diagram(args) -> Artifact:
     diagram = homoclinic.assemble_singular_diagram(n_curve=args.n)
-    path = _out_path(args, "singular_diagram.json")
-    write_json(path, diagram.to_dict(), {"n": args.n})
-    print(path)
-    return 0
+    return "singular_diagram.json", diagram.to_dict(), {"n": args.n}
 
 
 # ------------------------------------------------------------------ parser
@@ -258,14 +221,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
+    def add(name, func, help_text, plot=None):
+        """Register a subcommand; ``plot=(xcol, ycol)`` adds --plot-script
+        for a gnuplot script of those CSV columns."""
         sp = sub.add_parser(
             name, help=help_text,
             formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-        sp.set_defaults(func=func)
+        sp.set_defaults(func=func, plot=plot, plot_script=False)
         sp.add_argument("--out-dir", default=None,
                         help="output directory (default: FHNWAVE_OUT_DIR "
                              "or the working directory)")
+        if plot:
+            sp.add_argument("--plot-script", action="store_true",
+                            help="also emit a gnuplot script")
         return sp
 
     add("folds", cmd_folds, "fold points of the critical manifold")
@@ -283,20 +251,18 @@ def build_parser() -> argparse.ArgumentParser:
                     help="shooting offset along the separatrices")
 
     sp = add("het-curve", cmd_het_curve,
-             "V-shaped curve of layer heteroclinics in (pbar, s)")
+             "V-shaped curve of layer heteroclinics in (pbar, s)",
+             plot=("pbar", "s"))
     sp.add_argument("--s-max", type=float, default=1.45,
                     help="largest speed of the grid")
     sp.add_argument("--step", type=float, default=0.03,
                     help="spacing of the speed grid")
-    sp.add_argument("--plot-script", action="store_true",
-                    help="also emit a gnuplot script")
 
-    sp = add("hopf-curve", cmd_hopf_curve, "Hopf U-curve at fixed eps")
+    sp = add("hopf-curve", cmd_hopf_curve, "Hopf U-curve at fixed eps",
+             plot=("p", "s"))
     sp.add_argument("--eps", type=float, required=True)
     sp.add_argument("--n", type=_positive_int, default=200,
                     help="number of points")
-    sp.add_argument("--plot-script", action="store_true",
-                    help="also emit a gnuplot script")
 
     sp = add("gh-track", cmd_gh_track,
              "generalized-Hopf points over an eps grid, with eps -> 0 "
@@ -309,13 +275,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps", type=float, required=True)
 
     sp = add("canard-stability", cmd_canard_stability,
-             "slow-divergence integral R(h) over the canard family")
+             "slow-divergence integral R(h) over the canard family",
+             plot=("h", "R"))
     sp.add_argument("--n", type=_positive_int, default=50,
                     help="grid size in h")
     sp.add_argument("--abs-tol", type=float, default=1e-10,
                     help="quadrature tolerance")
-    sp.add_argument("--plot-script", action="store_true",
-                    help="also emit a gnuplot script")
 
     sp = add("reduced-orbit", cmd_reduced_orbit,
              "forward orbit of a two-variable reduction with summary")
@@ -329,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="slow-time horizon")
 
     sp = add("c-curve", cmd_c_curve,
-             "homoclinic speeds by unstable-manifold splitting")
+             "homoclinic speeds by unstable-manifold splitting",
+             plot=("p", "s2"))
     sp.add_argument("--eps", type=float, required=True)
     sp.add_argument("--p", type=float, nargs="+", required=True,
                     help="one or more p values")
@@ -338,8 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--bracket-tol", type=float, default=1e-12,
                     help="bisection bracket width (0: bisect until the "
                          "bracket cannot shrink)")
-    sp.add_argument("--plot-script", action="store_true",
-                    help="also emit a gnuplot script")
 
     sp = add("singular-diagram", cmd_singular_diagram,
              "machine-readable singular (eps = 0) bifurcation diagram")
@@ -349,15 +313,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: One parser per process, built by the first ``main`` call rather than at
+#: import, so that importing the module stays cheap.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        name, payload, meta = args.func(args)
     except (DomainError, IntegrationError, ValueError) as exc:
         print(json.dumps({"error": type(exc).__name__,
                           "message": str(exc),
                           "command": args.command}))
         return 1
+    path = _out_path(args, name)
+    if isinstance(payload, CurveBranch):
+        write_csv(path, payload, meta)
+    else:
+        write_json(path, payload, meta)
+    if args.plot_script:
+        xcol, ycol = args.plot
+        _atomic_write(os.path.splitext(path)[0] + ".gp",
+                      f"set datafile separator ','\n"
+                      f"plot '{name}' using '{xcol}':'{ycol}' "
+                      f"with linespoints\n")
+    print(path)
+    return 0
 
 
 if __name__ == "__main__":

@@ -41,6 +41,9 @@ BUNDLE_WIDTH = 1e-10
 #: Section gap accepted at the layer connections of the singular skeleton.
 GAP_TOL = 1e-8
 
+#: Columns of a C-curve row (see ``CCurvePoint.row``).
+C_CURVE_COLUMNS = ("p", "s1", "s2", "eps", "bracket_width")
+
 
 @dataclass
 class SingularHomoclinic:
@@ -68,6 +71,10 @@ class CCurvePoint:
     s2: float
     eps: float
     bracket_width: float
+
+    def row(self) -> tuple:
+        """The point as a curve row in ``C_CURVE_COLUMNS`` order."""
+        return (self.p, self.s1, self.s2, self.eps, self.bracket_width)
 
 
 @dataclass
@@ -308,24 +315,21 @@ def locate_c_curve(p: float, eps: float,
 def trace_c_curve(eps: float, p_grid,
                   s_scan: tuple[float, float] = (0.05, 1.55),
                   bracket_tol: float = 1e-12) -> CurveBranch:
-    """Map locate_c_curve over a p-grid, warm-starting the scan window.
+    """Map locate_c_curve over a p-grid: each point is solved on its own.
 
     Per-point failures are recorded in meta["failures"] and the trace
     continues.
     """
-    branch = CurveBranch(columns=("p", "s1", "s2", "eps", "bracket_width"),
+    branch = CurveBranch(columns=C_CURVE_COLUMNS,
                          meta={"eps": eps, "failures": []})
-    window = s_scan
     for p in p_grid:
         try:
-            pt = locate_c_curve(float(p), eps, s_scan=window,
+            pt = locate_c_curve(float(p), eps, s_scan=s_scan,
                                 bracket_tol=bracket_tol)
         except DomainError as exc:
             branch.meta["failures"].append((float(p), str(exc)))
-            window = s_scan
             continue
-        branch.points.append((pt.p, pt.s1, pt.s2, pt.eps, pt.bracket_width))
-        window = (max(0.01, pt.s1 - 0.15), min(1.7, pt.s2 + 0.15))
+        branch.points.append(pt.row())
     return branch
 
 

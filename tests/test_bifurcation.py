@@ -68,6 +68,7 @@ def test_gh_locate_two_points_left_half():
     assert len(pts) == 2
     for pt in pts:
         assert abs(pt.l1) < 1e-6
+        assert pt.criticality == "degenerate"
     assert pts[0].x1_star != pts[1].x1_star
 
 

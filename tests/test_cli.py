@@ -51,12 +51,20 @@ def test_folds_output_deterministic(tmp_path):
 
 
 def test_artifacts_byte_identical_across_runs(tmp_path):
+    # both writers: CSV branches and JSON documents
     for argv, name in ((["hopf-curve", "--eps", "0.01", "--n", "20"],
                         "hopf_curve.csv"),
                        (["canard-stability", "--n", "5"],
                         "canard_stability.csv"),
                        (["het-curve", "--s-max", "0.3", "--step", "0.05"],
-                        "het_curve.csv")):
+                        "het_curve.csv"),
+                       (["folds"], "folds.json"),
+                       (["slow-bif"], "slow_bif.json"),
+                       (["fast-equilibria", "--pbar", "-0.05"],
+                        "fast_equilibria.json"),
+                       (["canard", "--eps", "0.01"], "canard.json"),
+                       (["reduced-orbit", "--p", "0.06", "--s", "1.37",
+                         "--eps", "0.01"], "reduced_orbit.json")):
         first, second = tmp_path / "first", tmp_path / "second"
         assert run(argv, first) == 0
         assert run(argv, second) == 0
@@ -145,8 +153,30 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
             (argv, diag["message"])
 
 
+def test_failing_command_creates_no_directory(tmp_path, capsys):
+    out = tmp_path / "new"
+    assert cli.main(["canard", "--eps", "0.5", "--out-dir", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_handlers_compute_and_write_nothing(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    parser = cli.build_parser()
+    for argv, name, kind in ((["folds"], "folds.json", dict),
+                             (["canard-stability", "--n", "3"],
+                              "canard_stability.csv", cli.CurveBranch)):
+        args = parser.parse_args(argv + ["--out-dir", str(tmp_path)])
+        file_name, payload, meta = args.func(args)
+        assert file_name == name
+        assert isinstance(payload, kind) and isinstance(meta, dict)
+    assert not any(tmp_path.iterdir())
+
+
 def test_usage_error_exit_code(tmp_path):
     for argv in (["no-such-command"],
+                 # only subcommands with a CSV plot take --plot-script
+                 ["folds", "--plot-script"],
+                 ["gh-track", "--plot-script"],
                  # point counts below 1 (--n 0 once divided by zero)
                  ["canard-stability", "--n", "0"],
                  ["hopf-curve", "--eps", "0.01", "--n", "0"],
@@ -191,6 +221,51 @@ def test_reduced_orbit_json(tmp_path):
     data = read_json(tmp_path / "reduced_orbit.json")["data"]
     assert data["x2_excursions"] == 2
     assert data["x1_amplitude"] > 0.5
+
+
+@pytest.mark.parametrize("argv, name, xcol, ycol", [
+    (["het-curve", "--s-max", "0.1", "--step", "0.05"], "het_curve",
+     "pbar", "s"),
+    (["hopf-curve", "--eps", "0.01", "--n", "5"], "hopf_curve", "p", "s"),
+    (["canard-stability", "--n", "3"], "canard_stability", "h", "R"),
+    (["c-curve", "--eps", "0.01", "--p", "0.05", "--bracket-tol", "1e-3"],
+     "c_curve", "p", "s2"),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_plot_script_names_csv_columns(tmp_path, argv, name, xcol, ycol):
+    assert run(argv + ["--plot-script"], tmp_path) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [name + ".csv",
+                                                          name + ".gp"]
+    script = (tmp_path / (name + ".gp")).read_text()
+    assert script == (f"set datafile separator ','\n"
+                      f"plot '{name}.csv' using '{xcol}':'{ycol}' "
+                      f"with linespoints\n")
+    _, rows = read_csv(tmp_path / (name + ".csv"))
+    assert xcol in rows[0] and ycol in rows[0]
+
+
+def test_repeated_main_calls_share_no_state(tmp_path, capsys):
+    first, second, third = (tmp_path / d for d in ("a", "b", "c"))
+    argv = ["hopf-curve", "--eps", "0.01", "--n", "5"]
+    assert run(argv + ["--plot-script"], first) == 0
+    assert run(argv, second) == 0
+    assert run(["canard-stability", "--n", "3"], third) == 0
+    assert sorted(p.name for p in first.iterdir()) == ["hopf_curve.csv",
+                                                       "hopf_curve.gp"]
+    assert [p.name for p in second.iterdir()] == ["hopf_curve.csv"]
+    assert [p.name for p in third.iterdir()] == ["canard_stability.csv"]
+    assert ((first / "hopf_curve.csv").read_bytes()
+            == (second / "hopf_curve.csv").read_bytes())
+    assert capsys.readouterr().out.split() == [
+        str(first / "hopf_curve.csv"), str(second / "hopf_curve.csv"),
+        str(third / "canard_stability.csv")]
+
+
+def test_gh_track_rows_are_degenerate(tmp_path):
+    # l1 at a GH point is a root: its sign is round-off, not criticality
+    assert run(["gh-track"], tmp_path) == 0
+    _, rows = read_csv(tmp_path / "gh_track.csv")
+    assert len(rows) == 6
+    assert {r["criticality"] for r in rows} == {"degenerate"}
 
 
 def test_c_curve_csv_and_plot_script(tmp_path):

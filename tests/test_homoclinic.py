@@ -103,6 +103,21 @@ def test_trace_c_curve_records_failures_and_continues():
     assert branch.meta["failures"][0][0] == -0.15
 
 
+def test_trace_c_curve_is_a_map_of_locate_c_curve():
+    # grid points 9 and 10 of criterion 14: at p = 0.05 the escape side
+    # flips three times between s = 0.32 and 0.34, so a scan window carried
+    # over from the previous p can pick another flip than a solve alone
+    grid = [float(p) for p in np.linspace(0.015, 0.05, 10)[8:]]
+    branch = homoclinic.trace_c_curve(1e-3, grid)
+    assert not branch.meta["failures"]
+    for row, p in zip(branch.points, grid):
+        alone = homoclinic.locate_c_curve(p, 1e-3)
+        assert row[0] == p
+        assert abs(row[1] - alone.s1) <= 1e-9, (p, row[1], alone.s1)
+        assert abs(row[2] - alone.s2) <= 1e-9, (p, row[2], alone.s2)
+    assert branch.columns == homoclinic.C_CURVE_COLUMNS
+
+
 def test_singular_diagram_structure():
     diagram = homoclinic.assemble_singular_diagram(n_curve=8)
     assert diagram.B[0] == diagram.C[0]  # B and C share the abscissa p_-
