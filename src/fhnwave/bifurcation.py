@@ -76,7 +76,7 @@ def hopf_interval(eps: float) -> tuple[float, float]:
     return 11.0 / 30.0 - r, 11.0 / 30.0 + r
 
 
-def hopf_point(x1_star: float, eps: float, with_l1: bool = True) -> HopfPoint:
+def hopf_point(x1_star: float, eps: float) -> HopfPoint:
     """Hopf point of the parametric curve at the given equilibrium abscissa."""
     denom = 1.0 + 10.0 * eps - 22.0 * x1_star + 30.0 * x1_star**2
     if denom >= 0.0:
@@ -88,17 +88,16 @@ def hopf_point(x1_star: float, eps: float, with_l1: bool = True) -> HopfPoint:
     point = HopfPoint(p=p, s=s, eps=eps, x1_star=x1_star, omega=omega,
                       l1=float("nan"), criticality="degenerate",
                       residual=abs(c0 - c1 * c2))
-    if with_l1:
-        try:
-            point.l1 = lyapunov_l1(point)
-        except DomainError:
-            point.l1 = float("nan")
-        if not math.isnan(point.l1):
-            point.criticality = "super" if point.l1 < 0.0 else "sub"
+    try:
+        point.l1 = lyapunov_l1(point)
+    except DomainError:
+        point.l1 = float("nan")
+    if not math.isnan(point.l1):
+        point.criticality = "super" if point.l1 < 0.0 else "sub"
     return point
 
 
-def hopf_curve(eps: float, n: int = 200, with_l1: bool = True) -> CurveBranch:
+def hopf_curve(eps: float, n: int = 200) -> CurveBranch:
     """The Hopf U-curve at fixed eps as n points swept in x1*.
 
     The sweep is inset from the interval endpoints, where s diverges (the
@@ -109,7 +108,7 @@ def hopf_curve(eps: float, n: int = 200, with_l1: bool = True) -> CurveBranch:
     branch = CurveBranch(columns=HOPF_COLUMNS,
                          meta={"eps": eps, "kind": "hopf"})
     for x1 in np.linspace(lo + inset, hi - inset, n):
-        branch.points.append(hopf_point(float(x1), eps, with_l1=with_l1).row())
+        branch.points.append(hopf_point(float(x1), eps).row())
     return branch
 
 
@@ -119,11 +118,10 @@ def hopf_asymptotes() -> dict:
     Two vertical lines {p_-} x [0, inf) and {p_+} x [0, inf) plus the
     horizontal segment [p_-, p_+] x {0}.
     """
-    p_minus, p_plus = model.slow_fold_params()
     return {
-        "p_minus": p_minus,
-        "p_plus": p_plus,
-        "horizontal_segment": ((p_minus, 0.0), (p_plus, 0.0)),
+        "p_minus": model.P_MINUS,
+        "p_plus": model.P_PLUS,
+        "horizontal_segment": ((model.P_MINUS, 0.0), (model.P_PLUS, 0.0)),
     }
 
 

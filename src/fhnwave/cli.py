@@ -95,16 +95,14 @@ def _stack(columns: tuple[str, ...], labelled) -> CurveBranch:
 # ------------------------------------------------------------- subcommands
 
 def cmd_folds(args) -> Artifact:
-    p_minus, p_plus = model.slow_fold_params()
     return "folds.json", {"x_minus": model.X_MINUS, "x_plus": model.X_PLUS,
-                          "p_minus": p_minus, "p_plus": p_plus}, {}
+                          "p_minus": model.P_MINUS, "p_plus": model.P_PLUS}, {}
 
 
 def cmd_slow_bif(args) -> Artifact:
-    p_minus, p_plus = model.slow_fold_params()
     return "slow_bif.json", {
-        "p_minus": p_minus, "p_plus": p_plus,
-        "sum": p_minus + p_plus,
+        "p_minus": model.P_MINUS, "p_plus": model.P_PLUS,
+        "sum": model.P_MINUS + model.P_PLUS,
         "involution_p": model.P_INVOLUTION,
     }, {}
 
@@ -121,9 +119,8 @@ def cmd_fast_equilibria(args) -> Artifact:
 
 
 def cmd_double_het(args) -> Artifact:
-    pbar_star = fast_layer.double_het_pbar()
+    pbar_star, p_star = fast_layer.PBAR_STAR, homoclinic.P_STAR
     gap = fast_layer.shoot_heteroclinic(pbar_star, 0.0, offset=args.offset)
-    p_star, _ = homoclinic.double_het_point()
     return "double_het.json", {"pbar_star": pbar_star, "section_gap": gap,
                                "p_star": p_star}, {"offset": args.offset}
 

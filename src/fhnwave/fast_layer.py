@@ -4,9 +4,15 @@ shooting across the mid-section, and the V-shaped curve of connections in
 
 For s = 0 the layer problem is Hamiltonian with H = x2^2/2 + V(x1); the two
 saddles are connected exactly when they sit on the same potential level,
-which pins the double connection at pbar = -209/3375.  For s > 0 the field
+which pins the double connection at pbar* = -209/3375.  For s > 0 the field
 is area expanding (divergence s/5) and single connections are located as
 zeros of the section gap h(pbar, s).
+
+A shot always joins the outer layer equilibria, the first and last roots
+of ``model.fast_equilibria_x1``.  Inside the band (pbar_l, pbar_r) both
+are saddles.  At a band edge the middle equilibrium has merged with one of
+them into a fold: a shot may depart from the fold, along its strong
+unstable direction, when s > 0, but never arrive at it.
 """
 
 from __future__ import annotations
@@ -20,13 +26,18 @@ from scipy.optimize import brentq
 from . import model
 from .curves import CurveBranch
 from .integrate import IntegratorOptions, Trajectory, integrate
-from .model import DomainError, EquilibriumInfo, EquilibriumKind
+from .model import DomainError, EquilibriumInfo
 
 #: Sentinel magnitude standing in for "no section crossing" gap values;
 #: signed by escape side so bracketing root solvers keep working.
 GAP_SENTINEL = 1e6
 
 _SHOT_OPTS = IntegratorOptions(rel_tol=1e-11, abs_tol=1e-13, max_time=5000.0)
+
+#: Layer parameter of the s = 0 double heteroclinic: the saddles share a
+#: potential level when the cubic is balanced about its inflection point
+#: 11/30, which puts the roots at 11/30 and 11/30 +- sqrt(273)/30.
+PBAR_STAR = -209.0 / 3375.0
 
 #: Distance kept from a band edge where it closes a bracket in pbar.
 EDGE_MARGIN = 1e-6
@@ -66,28 +77,27 @@ def layer_equilibria(pbar: float, s: float = 0.0) -> list[EquilibriumInfo]:
     return [model.fast_equilibrium_info(x, s) for x in model.fast_equilibria_x1(pbar)]
 
 
-def saddle_eigendirections(eq: EquilibriumInfo, s: float,
-                           toward: float | None = None):
-    """Unit (unstable, stable) eigenvectors of A(x1) at a layer saddle.
+def saddle_eigendirections(x1: float, s: float, toward: float):
+    """Unit (unstable, stable) eigenvectors of A(x1) at a layer saddle or fold.
 
-    With ``toward`` given, both vectors are oriented so their x1-component
-    points toward that abscissa (into the strip between the saddles).
+    With a = -c0'(x1)/5 and sigma = s/5 the eigenvalues of A are
+    lambda = sigma/2 +- sqrt(sigma^2/4 + a) with eigenvectors (1, lambda);
+    at a fold (a = 0) with s > 0 the unstable one is the strong direction
+    (1, s/5).  Both vectors are oriented so their x1-component points
+    toward the abscissa ``toward`` (into the strip between the outer
+    equilibria).
     """
-    if eq.kind not in (EquilibriumKind.SADDLE, EquilibriumKind.FOLD_DEGENERATE):
-        raise DomainError(f"not a saddle: {eq.kind}")
-    A = model.fast_jacobian(eq.x1, s)
-    w, v = np.linalg.eig(A)
-    w = w.real
-    v = v.real
-    iu, ist = int(np.argmax(w)), int(np.argmin(w))
-    vu, vs = v[:, iu].copy(), v[:, ist].copy()
-    if toward is not None:
-        sign = 1.0 if toward >= eq.x1 else -1.0
-        if vu[0] * sign < 0:
-            vu = -vu
-        if vs[0] * sign < 0:
-            vs = -vs
-    return vu / np.linalg.norm(vu), vs / np.linalg.norm(vs)
+    a = -0.2 * model.cubic_prime(x1)
+    if a < -model.FOLD_TOL:
+        raise DomainError(f"x1={x1} is neither a layer saddle nor a fold")
+    half = 0.1 * s
+    root = math.sqrt(half * half + max(a, 0.0))
+    sign = 1.0 if toward >= x1 else -1.0
+
+    def unit(lam):
+        return sign / math.hypot(1.0, lam) * np.array([1.0, lam])
+
+    return unit(half + root), unit(half - root)
 
 
 def _shoot_to_section(x0, direction_vec, pbar, s, sigma, backward,
@@ -120,58 +130,48 @@ def _failure_gap(traj: Trajectory, x_lo, x_hi) -> float:
 
 
 def shoot_heteroclinic(pbar: float, s: float, offset: float = 1e-8,
-                       direction: str = "left-to-right",
-                       degenerate_left: bool = False) -> float:
-    """Section gap h(pbar, s) between the two saddle separatrices.
+                       direction: str = "left-to-right") -> float:
+    """Section gap h(pbar, s) between the two separatrices.
 
-    Integrates forward along the unstable direction of the departure saddle
-    and backward along the stable direction of the arrival saddle; returns
-    the difference of the x2-coordinates of the first crossings of the
-    section x1 = (x_l + x_r)/2.  Escapes before crossing are mapped to
-    signed sentinels (+-GAP_SENTINEL) so callers can still bracket.
+    The departure and arrival are the outer layer equilibria, in the order
+    ``direction`` names.  Integrates forward along the unstable direction
+    of the departure and backward along the stable direction of the
+    arrival; returns the difference of the x2-coordinates of the first
+    crossings of the section x1 = (x_l + x_r)/2.  Escapes before crossing
+    are mapped to signed sentinels (+-GAP_SENTINEL) so callers can still
+    bracket.
 
-    ``degenerate_left`` replaces the left saddle with the fold point
-    x_{1,-} (saddle-node at pbar = pbar_r); the shot then leaves along the
-    strong unstable direction (1, s/5).
+    At a band edge (pbar = pbar_r or pbar_l) one outer equilibrium is the
+    fold.  The shot may depart from it when s > 0, along the strong
+    unstable direction (1, s/5).  An arrival at the fold, a fold at s <= 0
+    (no unstable direction) and a pbar with a single equilibrium raise
+    ``DomainError``.
     """
     roots = model.fast_equilibria_x1(pbar)
-    if degenerate_left:
-        x_l = model.X_MINUS
-        x_r = max(roots)
-        if x_r <= x_l + 0.1:
-            raise DomainError("no right saddle for degenerate-left shot")
-        vu_l = np.array([1.0, s / 5.0])
-        vu_l = vu_l / np.linalg.norm(vu_l)
-        eq_r = model.fast_equilibrium_info(x_r, s)
-        _, vs_r = saddle_eigendirections(eq_r, s, toward=x_l)
+    if len(roots) < 2:
+        raise DomainError(f"need 2 layer equilibria, found 1 at pbar={pbar}")
+    x_l, x_r = roots[0], roots[-1]
+    if direction == "left-to-right":
+        x_dep, x_arr = x_l, x_r
+    elif direction == "right-to-left":
+        x_dep, x_arr = x_r, x_l
     else:
-        if len(roots) < 3:
-            raise DomainError(
-                f"need 3 layer equilibria, found {len(roots)} at pbar={pbar}")
-        x_l, x_m, x_r = roots
-        eq_l = model.fast_equilibrium_info(x_l, s)
-        eq_r = model.fast_equilibrium_info(x_r, s)
-        vu_l, vs_l = saddle_eigendirections(eq_l, s, toward=x_r)
-        vu_r, vs_r = saddle_eigendirections(eq_r, s, toward=x_l)
+        raise ValueError(f"unknown direction {direction!r}")
+    folds = (model.X_MINUS, model.X_PLUS)
+    if x_arr in folds:
+        raise DomainError(f"{direction} shot at pbar={pbar} arrives at the "
+                          "fold")
+    if x_dep in folds and not s > 0.0:
+        raise DomainError(f"departure from the fold needs s > 0, got {s}")
+    vu, _ = saddle_eigendirections(x_dep, s, toward=x_arr)
+    _, vs = saddle_eigendirections(x_arr, s, toward=x_dep)
 
     sigma = 0.5 * (x_l + x_r)
     x_lo, x_hi = x_l - 0.7, x_r + 0.7
-
-    if direction == "left-to-right":
-        fwd_x2, fwd = _shoot_to_section(x_l, vu_l, pbar, s, sigma, False,
-                                        offset, x_lo, x_hi)
-        bwd_x2, bwd = _shoot_to_section(x_r, vs_r, pbar, s, sigma, True,
-                                        offset, x_lo, x_hi)
-    elif direction == "right-to-left":
-        if degenerate_left:
-            raise DomainError("degenerate-left shot is left-to-right only")
-        fwd_x2, fwd = _shoot_to_section(x_r, vu_r, pbar, s, sigma, False,
-                                        offset, x_lo, x_hi)
-        bwd_x2, bwd = _shoot_to_section(x_l, vs_l, pbar, s, sigma, True,
-                                        offset, x_lo, x_hi)
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
-
+    fwd_x2, fwd = _shoot_to_section(x_dep, vu, pbar, s, sigma, False,
+                                    offset, x_lo, x_hi)
+    bwd_x2, bwd = _shoot_to_section(x_arr, vs, pbar, s, sigma, True,
+                                    offset, x_lo, x_hi)
     if fwd_x2 is None:
         return _failure_gap(fwd, x_lo, x_hi)
     if bwd_x2 is None:
@@ -181,8 +181,7 @@ def shoot_heteroclinic(pbar: float, s: float, offset: float = 1e-8,
 
 def find_het(direction: str = "left-to-right", pbar: float | None = None,
              s: float | None = None, scan: tuple[float, float] = (0.0, 2.0),
-             gap_tol: float = 1e-10,
-             degenerate_left: bool = False) -> HetConnection:
+             gap_tol: float = 1e-10) -> HetConnection:
     """Solve the section gap to zero in the free parameter.
 
     Exactly one of ``pbar``/``s`` must be given; the other is solved for by
@@ -193,11 +192,9 @@ def find_het(direction: str = "left-to-right", pbar: float | None = None,
         raise ValueError("fix exactly one of pbar, s")
 
     if s is None:
-        gap = lambda sv: shoot_heteroclinic(pbar, sv, direction=direction,
-                                            degenerate_left=degenerate_left)
+        gap = lambda sv: shoot_heteroclinic(pbar, sv, direction=direction)
     else:
-        gap = lambda pv: shoot_heteroclinic(pv, s, direction=direction,
-                                            degenerate_left=degenerate_left)
+        gap = lambda pv: shoot_heteroclinic(pv, s, direction=direction)
 
     lo, hi = scan
     g_lo, g_hi = gap(lo), gap(hi)
@@ -219,22 +216,6 @@ def find_het(direction: str = "left-to-right", pbar: float | None = None,
                          section_gap=residual)
 
 
-def double_het_pbar() -> float:
-    """pbar of the s = 0 double heteroclinic: root of V(x_l) - V(x_r).
-
-    Equals -209/3375 exactly (the saddles share a level when the cubic is
-    balanced about its inflection point 11/30).
-    """
-    def level_mismatch(pbar):
-        roots = model.fast_equilibria_x1(pbar)
-        if len(roots) < 3:
-            raise DomainError(f"lost saddles at pbar={pbar}")
-        return float(potential(roots[0], pbar) - potential(roots[-1], pbar))
-
-    return brentq(level_mismatch, model.PBAR_L + 1e-4, model.PBAR_R - 1e-4,
-                  xtol=1e-14, rtol=1e-15)
-
-
 def het_v_curve(s_max: float = 1.45,
                 step: float = 0.03) -> tuple[CurveBranch, CurveBranch]:
     """Both branches of the V-shaped connection curve from its s = 0 vertex.
@@ -251,11 +232,10 @@ def het_v_curve(s_max: float = 1.45,
             raise DomainError(f"{name} must be finite and > 0, got {value}")
     if step < MIN_STEP:
         raise DomainError(f"step must be >= {MIN_STEP:g}, got {step}")
-    pbar_star = double_het_pbar()
     branches = []
     for direction, edge in (("left-to-right", model.PBAR_R - EDGE_MARGIN),
                             ("right-to-left", model.PBAR_L + EDGE_MARGIN)):
-        pb, sv = pbar_star, 0.0
+        pb, sv = PBAR_STAR, 0.0
         branch = CurveBranch(columns=("pbar", "s", "gap"),
                              meta={"direction": direction,
                                    "termination": "extent-reached"})

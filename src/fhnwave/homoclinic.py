@@ -20,14 +20,14 @@ from scipy.optimize import brentq
 
 from . import model
 from .curves import CurveBranch
-from .fast_layer import EDGE_MARGIN, HetConnection, double_het_pbar, find_het
+from .fast_layer import EDGE_MARGIN, PBAR_STAR, HetConnection, find_het
 from .integrate import IntegratorOptions, integrate
 from .model import DomainError, ModelParams
 
-#: Fold parameter values p_- < p_+ where the full equilibrium crosses the
-#: folds of the critical manifold; no singular homoclinics exist between.
-P_MINUS = model.equilibrium_p(model.X_MINUS)
-P_PLUS = model.equilibrium_p(model.X_PLUS)
+#: p* of the point A = (p*, 0): the equilibrium height meets the s = 0
+#: double heteroclinic (p - x1*(p) = pbar*) where x1* is the left root
+#: (11 - sqrt(273))/30 of the layer cubic at pbar*.
+P_STAR = model.equilibrium_p((11.0 - math.sqrt(273.0)) / 30.0)
 
 #: Escape abscissa for the unstable-manifold classification.
 ESCAPE_X1 = 2.0
@@ -93,7 +93,7 @@ class SingularDiagram:
     curve_ac: list[tuple[float, float]]
     hopf_asymptotes: dict
     canard_p: float
-    fold_p: tuple[float, float] = (P_MINUS, P_PLUS)
+    fold_p: tuple[float, float] = (model.P_MINUS, model.P_PLUS)
 
     def to_dict(self) -> dict:
         return {
@@ -111,15 +111,6 @@ def equilibrium_pbar(p: float, v: float = 0.0) -> float:
     return p - model.equilibrium_x1(p) - v
 
 
-def double_het_point() -> tuple[float, float]:
-    """(p*, 0): the p at which the equilibrium height meets the s = 0
-    double heteroclinic, solving p - x1*(p) = pbar*."""
-    target = double_het_pbar()
-    p_star = brentq(lambda p: equilibrium_pbar(p) - target, -1.0, P_MINUS,
-                    xtol=1e-14, rtol=1e-15)
-    return float(p_star), 0.0
-
-
 def s_star() -> float:
     """Terminal speed of the fast-wave curve at p = p_-.
 
@@ -128,7 +119,7 @@ def s_star() -> float:
     unstable direction of the saddle-node.
     """
     conn = find_het(direction="left-to-right", pbar=model.PBAR_R,
-                    scan=(1.2, 1.8), gap_tol=GAP_TOL, degenerate_left=True)
+                    scan=(1.2, 1.8), gap_tol=GAP_TOL)
     return conn.s
 
 
@@ -154,10 +145,17 @@ def singular_upper_curve(n: int = 30) -> CurveBranch:
     margin at both ends, where the speed tends to 0 and to the saddle-node
     limit s*.
     """
-    p_star, _ = double_het_point()
-    ps = np.linspace(p_star + 1e-4, P_MINUS - 1e-4, n)
+    ps = np.linspace(P_STAR + 1e-4, model.P_MINUS - 1e-4, n)
     branch = CurveBranch(columns=("p", "s", "pbar"),
                          meta={"height": "equilibrium"})
+    # Each speed is bracketed in a window around the previous one, not on
+    # upper_connection's default (0, 1.6): above p = -0.125 or so the shot
+    # at the bracket end s = 0 never crosses the section and runs to the
+    # integrator's time-out (0.05 to 0.8 s, against about 0.02 s for a
+    # crossing shot).  At n = 25 the window takes 295 shots in 6.0 s, a
+    # plain map 307 shots in 20.8 s, for the same speeds to 2e-14 (2-core
+    # x86_64).  The default bracket is the fallback where the window misses
+    # the sign change.
     window = (0.0, 1.7)
     for p in ps:
         try:
@@ -185,7 +183,7 @@ def return_height_at(p: float, s: float) -> float:
     The right-to-left connection at speed s fixes a unique layer parameter
     pbar; the height offset follows from p - x1*(p) - v = pbar.
     """
-    scan = (model.PBAR_L + EDGE_MARGIN, double_het_pbar() - 1e-9)
+    scan = (model.PBAR_L + EDGE_MARGIN, PBAR_STAR - 1e-9)
     conn = find_het(direction="right-to-left", s=s, scan=scan,
                     gap_tol=GAP_TOL)
     return equilibrium_pbar(p) - conn.pbar
@@ -200,8 +198,7 @@ def singular_fast_wave(v: float) -> SingularHomoclinic:
     def mismatch(p: float) -> float:
         return upper_connection(p).s - return_connection(p, v).s
 
-    p_star, _ = double_het_point()
-    lo, hi = p_star + 1e-4, P_MINUS - 1e-4
+    lo, hi = P_STAR + 1e-4, model.P_MINUS - 1e-4
 
     def clip(target: float, default: float) -> float:
         """p in (p*, p_-) where the return height hits the band edge."""
@@ -212,7 +209,7 @@ def singular_fast_wave(v: float) -> SingularHomoclinic:
 
     # the return height must keep pbar inside (pbar_l, pbar*)
     p_lo = clip(model.PBAR_L + 1e-4, lo)
-    p_hi = clip(double_het_pbar() - 1e-5, hi)
+    p_hi = clip(PBAR_STAR - 1e-5, hi)
     p_sol = brentq(mismatch, p_lo, p_hi, xtol=1e-11)
     up = upper_connection(p_sol)
     down = return_connection(p_sol, v)
@@ -338,16 +335,16 @@ def assemble_singular_diagram(n_curve: int = 25) -> SingularDiagram:
     the Hopf asymptotes and the eps = 0 canard abscissa."""
     from . import bifurcation, slow_reduced
 
-    p_star, _ = double_het_point()
     s_term = s_star()
-    ab = [(float(p), 0.0) for p in np.linspace(p_star, P_MINUS, n_curve)]
+    ab = [(float(p), 0.0)
+          for p in np.linspace(P_STAR, model.P_MINUS, n_curve)]
     curve = singular_upper_curve(n=n_curve)
-    ac = ([(p_star, 0.0)]
+    ac = ([(P_STAR, 0.0)]
           + [(q[0], q[1]) for q in curve.points]
-          + [(P_MINUS, s_term)])
+          + [(model.P_MINUS, s_term)])
     canard_p = slow_reduced.reduced_hopf_values(0.0)[0]
     return SingularDiagram(
-        A=(p_star, 0.0), B=(P_MINUS, 0.0), C=(P_MINUS, s_term),
+        A=(P_STAR, 0.0), B=(model.P_MINUS, 0.0), C=(model.P_MINUS, s_term),
         segment_ab=ab, curve_ac=ac,
         hopf_asymptotes=bifurcation.hopf_asymptotes(),
         canard_p=canard_p,

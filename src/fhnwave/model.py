@@ -81,6 +81,12 @@ def equilibrium_p(x1):
     return x1 - cubic(x1)
 
 
+#: Fold parameter values p_- < p_+ where the full equilibrium crosses the
+#: folds of the critical manifold; no singular homoclinics exist between.
+P_MINUS = equilibrium_p(X_MINUS)
+P_PLUS = equilibrium_p(X_PLUS)
+
+
 class EquilibriumKind(str, Enum):
     SADDLE = "saddle"
     SOURCE = "source"
@@ -206,11 +212,6 @@ def fast_field(state, pbar: float, s: float) -> np.ndarray:
 def fast_jacobian(x1: float, s: float) -> np.ndarray:
     """Layer-problem Jacobian A(x1); singular of rank 1 at the folds."""
     return np.array([[0.0, 1.0], [-0.2 * cubic_prime(x1), s / 5.0]])
-
-
-def slow_fold_params() -> tuple[float, float]:
-    """Values (p_-, p_+) where the slow-flow equilibrium sits on a fold."""
-    return equilibrium_p(X_MINUS), equilibrium_p(X_PLUS)
 
 
 def fast_equilibria_x1(pbar: float) -> list[float]:

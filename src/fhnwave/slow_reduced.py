@@ -90,7 +90,7 @@ def maximal_canard_p(eps: float) -> float:
     """First-order maximal-canard location p_- + (5/8)*eps near the left fold."""
     if not 0.0 <= eps < math.inf:  # also rejects NaN
         raise DomainError(f"eps must be finite and >= 0, got {eps}")
-    return model.equilibrium_p(model.X_MINUS) + 0.625 * eps
+    return model.P_MINUS + 0.625 * eps
 
 
 def canard_info(eps: float) -> CanardInfo:

@@ -33,7 +33,7 @@ def test_criterion_01_fold_points():
 
 
 def test_criterion_02_slow_flow_bifurcation_values():
-    p_minus, p_plus = model.slow_fold_params()
+    p_minus, p_plus = model.P_MINUS, model.P_PLUS
     assert abs(p_minus - 0.0511) < 5e-4
     assert abs(p_plus - 0.5584) < 5e-4
     assert abs(p_minus + p_plus - 2057.0 / 3375.0) < 1e-12
@@ -51,7 +51,7 @@ def test_criterion_03_equilibrium_count_boundaries():
 
 
 def test_criterion_04_double_heteroclinic():
-    pbar_star = fast_layer.double_het_pbar()
+    pbar_star = fast_layer.PBAR_STAR
     assert abs(pbar_star - (-0.0619259)) < 1e-6
     assert abs(pbar_star - (-209.0 / 3375.0)) < 1e-12
     gap = fast_layer.shoot_heteroclinic(pbar_star, 0.0)
@@ -64,7 +64,7 @@ def test_criterion_05_heteroclinic_v_curve():
     assert len(left) >= 50 and len(right) >= 50
 
     # vertex of both branches at (pbar*, 0)
-    pbar_star = fast_layer.double_het_pbar()
+    pbar_star = fast_layer.PBAR_STAR
     for branch in (left, right):
         p0, s0, _ = branch.points[0]
         assert abs(p0 - pbar_star) < 1e-3 and abs(s0) < 1e-3
@@ -90,7 +90,7 @@ def test_criterion_06_reduced_hopf_values():
     ph_minus, ph_plus = slow_reduced.reduced_hopf_values(0.01)
     assert abs(ph_minus - 0.05632) < 1e-5
     assert abs(ph_plus - 0.55316) < 1e-5
-    p_minus, p_plus = model.slow_fold_params()
+    p_minus, p_plus = model.P_MINUS, model.P_PLUS
     lim_minus, lim_plus = slow_reduced.reduced_hopf_values(0.0)
     assert abs(lim_minus - p_minus) < 1e-4
     assert abs(lim_plus - p_plus) < 1e-4
@@ -148,7 +148,7 @@ def test_criterion_09_reduced_orbit_geometry():
 
 
 def test_criterion_10_hopf_curve():
-    branch = bifurcation.hopf_curve(0.01, n=200, with_l1=False)
+    branch = bifurcation.hopf_curve(0.01, n=200)
     assert len(branch) == 200
     worst_res, worst_re = 0.0, 0.0
     for x1, s, p in zip(branch.column("x1_star"), branch.column("s"),
@@ -191,7 +191,7 @@ def test_criterion_11_generalized_hopf():
 
 
 def test_criterion_12_singular_c_curve_endpoints():
-    p_star, _ = homoclinic.double_het_point()
+    p_star = homoclinic.P_STAR
     s_term = homoclinic.s_star()
     assert abs(p_star - (-0.246016)) < 1e-4
     assert abs(s_term - 1.50815) < 1e-3
@@ -260,10 +260,9 @@ def test_criterion_15_structural_properties():
     assert worst < 1e-12
 
     # Hamiltonian drift along an s = 0 layer orbit
-    pbar = fast_layer.double_het_pbar()
+    pbar = fast_layer.PBAR_STAR
     x_l, _, _ = model.fast_equilibria_x1(pbar)
-    eq = model.fast_equilibrium_info(x_l, 0.0)
-    vu, _ = fast_layer.saddle_eigendirections(eq, 0.0, toward=1.0)
+    vu, _ = fast_layer.saddle_eigendirections(x_l, 0.0, toward=1.0)
     opts = IntegratorOptions(rel_tol=1e-11, abs_tol=1e-13, max_time=80.0)
     traj = integrate(lambda t, y: model.fast_field(y, pbar, 0.0),
                      np.array([x_l, 0.0]) + 1e-8 * vu, (0.0, 80.0), opts)
@@ -273,7 +272,7 @@ def test_criterion_15_structural_properties():
     assert drift < 1e-8
 
     # no singular homoclinics between the folds
-    for p in (homoclinic.P_MINUS + 1e-3, 0.3, homoclinic.P_PLUS - 1e-3):
+    for p in (model.P_MINUS + 1e-3, 0.3, model.P_PLUS - 1e-3):
         with pytest.raises(DomainError):
             homoclinic.upper_connection(p)
     _report(15, f"equivariance residual {worst:.1e}, Hamiltonian drift "

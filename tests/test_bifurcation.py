@@ -33,13 +33,13 @@ def test_hopf_point_has_imaginary_pair():
 def test_hopf_point_residual_small():
     lo, hi = bifurcation.hopf_interval(0.01)
     for x1 in np.linspace(lo + 1e-4, hi - 1e-4, 7):
-        pt = bifurcation.hopf_point(float(x1), 0.01, with_l1=False)
+        pt = bifurcation.hopf_point(float(x1), 0.01)
         c0, c1, c2 = bifurcation.char_poly_coeffs(pt.x1_star, pt.s, 0.01)
         assert abs(c0 - c1 * c2) < 1e-10
 
 
 def test_hopf_curve_columns_and_count():
-    branch = bifurcation.hopf_curve(0.01, n=40, with_l1=False)
+    branch = bifurcation.hopf_curve(0.01, n=40)
     assert len(branch) == 40
     assert set(("p", "s")).issubset(branch.columns)
     s_col = branch.column("s")

@@ -10,11 +10,15 @@ from fhnwave.model import DomainError
 
 def test_double_het_pbar_closed_form():
     # the s = 0 double connection sits at the equal-potential level
-    assert abs(fast_layer.double_het_pbar() - (-209.0 / 3375.0)) < 1e-12
+    assert abs(fast_layer.PBAR_STAR - (-209.0 / 3375.0)) < 1e-12
+    # where the cubic is balanced about its inflection point 11/30
+    r = np.sqrt(273.0) / 30.0
+    assert model.fast_equilibria_x1(fast_layer.PBAR_STAR) == pytest.approx(
+        [11.0 / 30.0 - r, 11.0 / 30.0, 11.0 / 30.0 + r], abs=1e-15)
 
 
 def test_double_het_equal_hamiltonian_levels():
-    pbar = fast_layer.double_het_pbar()
+    pbar = fast_layer.PBAR_STAR
     x_l, _, x_r = model.fast_equilibria_x1(pbar)
     h_l = fast_layer.hamiltonian(np.array([x_l, 0.0]), pbar)
     h_r = fast_layer.hamiltonian(np.array([x_r, 0.0]), pbar)
@@ -22,7 +26,7 @@ def test_double_het_equal_hamiltonian_levels():
 
 
 def test_double_het_shooting_gap():
-    pbar = fast_layer.double_het_pbar()
+    pbar = fast_layer.PBAR_STAR
     gap = fast_layer.shoot_heteroclinic(pbar, 0.0)
     assert abs(gap) < 1e-8
 
@@ -30,8 +34,7 @@ def test_double_het_shooting_gap():
 def test_hamiltonian_conserved_along_layer_orbit():
     pbar = -0.05
     x_l, _, _ = model.fast_equilibria_x1(pbar)
-    eq = model.fast_equilibrium_info(x_l, 0.0)
-    vu, _ = fast_layer.saddle_eigendirections(eq, 0.0, toward=1.0)
+    vu, _ = fast_layer.saddle_eigendirections(x_l, 0.0, toward=1.0)
     y0 = np.array([x_l, 0.0]) + 1e-8 * vu
     opts = IntegratorOptions(rel_tol=1e-11, abs_tol=1e-13, max_time=60.0)
     traj = integrate(lambda t, y: model.fast_field(y, pbar, 0.0), y0,
@@ -42,7 +45,7 @@ def test_hamiltonian_conserved_along_layer_orbit():
 
 
 def test_gap_sign_change_brackets_connection():
-    pbar = fast_layer.double_het_pbar()
+    pbar = fast_layer.PBAR_STAR
     lo = fast_layer.shoot_heteroclinic(pbar + 1e-3, 0.4, direction="left-to-right")
     conn = fast_layer.find_het(direction="left-to-right", s=0.4,
                                scan=(pbar, model.PBAR_R - 1e-6))
@@ -60,11 +63,12 @@ def test_find_het_requires_one_free_parameter():
 
 def test_saddle_eigendirection_orientation():
     pbar = -0.06
-    x_l, _, x_r = model.fast_equilibria_x1(pbar)
-    eq = model.fast_equilibrium_info(x_l, 0.5)
-    vu, vs = fast_layer.saddle_eigendirections(eq, 0.5, toward=x_r)
+    x_l, x_m, x_r = model.fast_equilibria_x1(pbar)
+    vu, vs = fast_layer.saddle_eigendirections(x_l, 0.5, toward=x_r)
     assert vu[0] > 0 and vs[0] > 0
     assert abs(np.linalg.norm(vu) - 1.0) < 1e-14
+    with pytest.raises(DomainError, match="neither a layer saddle"):
+        fast_layer.saddle_eigendirections(x_m, 0.5, toward=x_r)
 
 
 def test_no_connection_outside_band():
@@ -75,11 +79,11 @@ def test_no_connection_outside_band():
 def test_right_to_left_mirrors_left_to_right():
     # the involution pairs the two directions at mirrored pbar
     conn_lr = fast_layer.find_het(direction="left-to-right", s=0.5,
-                                  scan=(fast_layer.double_het_pbar(),
+                                  scan=(fast_layer.PBAR_STAR,
                                         model.PBAR_R - 1e-6))
     conn_rl = fast_layer.find_het(direction="right-to-left", s=0.5,
                                   scan=(model.PBAR_L + 1e-6,
-                                        fast_layer.double_het_pbar()))
+                                        fast_layer.PBAR_STAR))
     center = 0.5 * (model.PBAR_L + model.PBAR_R)
     assert abs((conn_lr.pbar - center) + (conn_rl.pbar - center)) < 1e-8
 
@@ -124,7 +128,31 @@ def test_v_curve_stops_at_first_speed_without_connection():
         assert abs((pb_lr - center) + (pb_rl - center)) < 1e-8
 
 
-def test_degenerate_left_shot_runs():
-    gap = fast_layer.shoot_heteroclinic(model.PBAR_R, 1.4,
-                                        degenerate_left=True)
-    assert np.isfinite(gap)
+def test_fold_departure_mirrors_across_the_band():
+    # at pbar_r the left-to-right shot departs from the fold x_- (the shot
+    # of s_star); the point symmetry of the layer problem about its
+    # inflection maps it to the right-to-left shot from the fold x_+ at
+    # pbar_l at the same speed, with the sign of the section gap flipped
+    for s in (1.4, 1.5, 1.6):
+        gap_lr = fast_layer.shoot_heteroclinic(model.PBAR_R, s)
+        gap_rl = fast_layer.shoot_heteroclinic(model.PBAR_L, s,
+                                               direction="right-to-left")
+        assert np.isfinite(gap_lr)
+        assert abs(gap_rl + gap_lr) < 1e-10
+
+
+def test_fold_shot_domain_errors():
+    # a shot never arrives at the fold ...
+    with pytest.raises(DomainError, match="arrives at the fold"):
+        fast_layer.shoot_heteroclinic(model.PBAR_R, 1.5,
+                                      direction="right-to-left")
+    with pytest.raises(DomainError, match="arrives at the fold"):
+        fast_layer.shoot_heteroclinic(model.PBAR_L, 1.5)
+    # ... departs from it only for s > 0 ...
+    for s in (0.0, -0.5):
+        with pytest.raises(DomainError, match="s > 0"):
+            fast_layer.shoot_heteroclinic(model.PBAR_R, s)
+    # ... and needs two equilibria
+    for pbar in (model.PBAR_L - 1e-9, model.PBAR_R + 1e-9):
+        with pytest.raises(DomainError, match="found 1"):
+            fast_layer.shoot_heteroclinic(pbar, 1.5)

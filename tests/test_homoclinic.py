@@ -8,15 +8,14 @@ from fhnwave.model import DomainError
 
 
 def test_double_het_point_value():
-    p_star, s = homoclinic.double_het_point()
-    assert s == 0.0
+    p_star = homoclinic.P_STAR
     assert abs(p_star - (-0.246016)) < 1e-4
 
 
 def test_double_het_point_defining_relation():
-    p_star, _ = homoclinic.double_het_point()
+    p_star = homoclinic.P_STAR
     x1s = model.equilibrium_x1(p_star)
-    assert abs(x1s - (p_star - fast_layer.double_het_pbar())) < 1e-10
+    assert abs(x1s - (p_star - fast_layer.PBAR_STAR)) < 1e-10
 
 
 def test_upper_connection_speed_regression():
@@ -26,7 +25,7 @@ def test_upper_connection_speed_regression():
 
 
 def test_no_singular_homoclinics_between_folds():
-    for p in (homoclinic.P_MINUS + 0.01, 0.2, homoclinic.P_PLUS - 0.01):
+    for p in (model.P_MINUS + 0.01, 0.2, model.P_PLUS - 0.01):
         with pytest.raises(DomainError):
             homoclinic.upper_connection(p)
 
@@ -134,7 +133,7 @@ def test_singular_diagram_structure():
 
 def test_diagram_symmetry_mirror():
     diagram = homoclinic.assemble_singular_diagram(n_curve=6)
-    p_minus, p_plus = model.slow_fold_params()
+    p_minus, p_plus = model.P_MINUS, model.P_PLUS
     _, mirrored = model.symmetry_transform(np.zeros(3), diagram.B[0])
     assert abs(mirrored - p_plus) < 1e-12
     asym = diagram.hopf_asymptotes

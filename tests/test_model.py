@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fhnwave import model
 from fhnwave.model import DomainError, EquilibriumKind, ModelParams
@@ -23,7 +24,7 @@ def test_fold_points_printed_values():
 
 
 def test_slow_fold_params_identity():
-    p_minus, p_plus = model.slow_fold_params()
+    p_minus, p_plus = model.P_MINUS, model.P_PLUS
     assert p_minus < p_plus
     assert abs(p_minus + p_plus - 2057.0 / 3375.0) < 1e-14
     assert abs(p_minus - model.equilibrium_p(model.X_MINUS)) < 1e-15
@@ -76,6 +77,29 @@ def test_fast_equilibria_count_boundaries():
     assert len(model.fast_equilibria_x1(model.PBAR_L - 1e-3)) == 1
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(pbar=st.floats(-1.0, 1.0))
+@example(pbar=model.PBAR_L)
+@example(pbar=model.PBAR_R)
+@example(pbar=math.nextafter(model.PBAR_L, 1.0))
+@example(pbar=math.nextafter(model.PBAR_R, -1.0))
+@example(pbar=math.nextafter(model.PBAR_L, -1.0))
+@example(pbar=math.nextafter(model.PBAR_R, 1.0))
+def test_fast_equilibria_root_count(pbar):
+    # the one-path layer shot rests on this: the outer roots are the
+    # departure and arrival, and at an edge one of them is the fold
+    roots = model.fast_equilibria_x1(pbar)
+    assert all(a < b for a, b in zip(roots, roots[1:]))
+    assert all(abs(model.cubic(x) + pbar) < 1e-12 for x in roots)
+    if model.PBAR_L < pbar < model.PBAR_R:
+        assert len(roots) == 3
+    elif pbar in (model.PBAR_L, model.PBAR_R):
+        fold = model.X_MINUS if pbar == model.PBAR_R else model.X_PLUS
+        assert len(roots) == 2 and fold in roots
+    else:
+        assert len(roots) == 1
+
+
 def test_fast_equilibria_near_saddle_node():
     # roots separated by ~1e-4 must still be resolved
     roots = model.fast_equilibria_x1(model.PBAR_R - 1e-8)
@@ -113,7 +137,7 @@ def test_symmetry_equivariance():
 
 
 def test_symmetry_pairs_fold_params():
-    p_minus, p_plus = model.slow_fold_params()
+    p_minus, p_plus = model.P_MINUS, model.P_PLUS
     _, paired = model.symmetry_transform(np.zeros(3), p_minus)
     assert abs(paired - p_plus) < 1e-14
 

@@ -10,12 +10,17 @@ Hopf algebra: the package evaluates the characteristic polynomial and the
 first Lyapunov coefficient in closed form; the oracles are numpy's
 ``poly`` and the projection formula evaluated with LAPACK eigenvectors and
 linear solves on the Jacobian matrix.
+
+Layer closed forms: the saddle and fold eigenvectors against LAPACK, and
+the double heteroclinic pbar* and p* against brentq solves of their
+defining equations.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from fhnwave import bifurcation, fast_layer, homoclinic, model
 from fhnwave.model import ModelParams
@@ -46,10 +51,8 @@ def test_shots_match_radau_oracle():
     # section gap of the layer separatrices, away from any connection
     pbar, s = -0.05, 0.3
     x_l, _, x_r = model.fast_equilibria_x1(pbar)
-    vu_l, _ = fast_layer.saddle_eigendirections(
-        model.fast_equilibrium_info(x_l, s), s, toward=x_r)
-    _, vs_r = fast_layer.saddle_eigendirections(
-        model.fast_equilibrium_info(x_r, s), s, toward=x_l)
+    vu_l, _ = fast_layer.saddle_eigendirections(x_l, s, toward=x_r)
+    _, vs_r = fast_layer.saddle_eigendirections(x_r, s, toward=x_l)
     sigma = 0.5 * (x_l + x_r)
     field = lambda t, y: model.fast_field(y, pbar, s)
     jac = lambda t, y: np.array([[0.0, 1.0],
@@ -121,3 +124,50 @@ def test_closed_form_hopf_matches_eigensolver_oracle(eps):
        eps=st.floats(0.0, 0.5))
 def test_char_poly_coeffs_match_numpy_poly(x1, s, eps):
     assert _char_poly_error(x1, s, eps) <= 1e-12
+
+
+def _eig_directions(x1, s, toward):
+    """(unstable, stable) unit eigenvectors of A(x1) from LAPACK, with
+    x1-components pointing toward ``toward``."""
+    w, v = np.linalg.eig(model.fast_jacobian(x1, s))
+    vecs = []
+    for i in (int(np.argmax(w.real)), int(np.argmin(w.real))):
+        vec = v[:, i].real / np.linalg.norm(v[:, i].real)
+        vecs.append(vec if (vec[0] >= 0.0) == (toward >= x1) else -vec)
+    return vecs
+
+
+def test_saddle_directions_match_eig_oracle():
+    # both outer equilibria on a 41 x 3 grid of (pbar, s), from 1e-9 inside
+    # either band edge; at the edges themselves the fold departs for s > 0
+    grid = [(float(pbar), s)
+            for pbar in np.linspace(model.PBAR_L + 1e-9, model.PBAR_R - 1e-9,
+                                    41)
+            for s in (0.0, 0.7, 1.5)]
+    grid += [(edge, s) for edge in (model.PBAR_L, model.PBAR_R)
+             for s in (0.7, 1.5)]
+    worst = 0.0
+    for pbar, s in grid:
+        roots = model.fast_equilibria_x1(pbar)
+        for x1, toward in ((roots[0], roots[-1]), (roots[-1], roots[0])):
+            got = fast_layer.saddle_eigendirections(x1, s, toward)
+            want = _eig_directions(x1, s, toward)
+            worst = max(worst, *(float(np.max(np.abs(g - w)))
+                                 for g, w in zip(got, want)))
+    assert worst < 1e-14
+
+
+def test_double_het_closed_forms_match_brentq_oracles():
+    # pbar*: the outer saddles on one potential level
+    def level_mismatch(pbar):
+        x_l, _, x_r = model.fast_equilibria_x1(pbar)
+        return float(fast_layer.potential(x_l, pbar)
+                     - fast_layer.potential(x_r, pbar))
+
+    pbar_star = brentq(level_mismatch, model.PBAR_L + 1e-4,
+                       model.PBAR_R - 1e-4, xtol=1e-14, rtol=1e-15)
+    assert abs(fast_layer.PBAR_STAR - pbar_star) < 1e-15
+    # p*: the equilibrium height meets pbar*, p - x1*(p) = pbar*
+    p_star = brentq(lambda p: homoclinic.equilibrium_pbar(p) - pbar_star,
+                    -1.0, model.P_MINUS, xtol=1e-14, rtol=1e-15)
+    assert abs(homoclinic.P_STAR - p_star) < 1e-15

@@ -16,7 +16,7 @@ def test_reduced_hopf_values_at_eps_001():
 
 
 def test_reduced_hopf_limits_are_fold_params():
-    p_minus, p_plus = model.slow_fold_params()
+    p_minus, p_plus = model.P_MINUS, model.P_PLUS
     ph_minus, ph_plus = slow_reduced.reduced_hopf_values(0.0)
     assert abs(ph_minus - p_minus) < 1e-12
     assert abs(ph_plus - p_plus) < 1e-12
@@ -41,7 +41,7 @@ def test_maximal_canard_value_and_ordering():
     assert abs(p_c - 0.05731) < 2e-5
     assert p_c > slow_reduced.reduced_hopf_values(0.01)[0]
     assert abs(slow_reduced.maximal_canard_p(0.0)
-               - model.slow_fold_params()[0]) < 1e-14
+               - model.P_MINUS) < 1e-14
 
 
 def test_slow_flow_rate_blows_up_at_fold():
