@@ -139,7 +139,14 @@ def shoot_heteroclinic(pbar: float, s: float, offset: float = 1e-8,
     arrival; returns the difference of the x2-coordinates of the first
     crossings of the section x1 = (x_l + x_r)/2.  Escapes before crossing
     are mapped to signed sentinels (+-GAP_SENTINEL) so callers can still
-    bracket.
+    bracket: the side of the section where the failed shot ended, negated
+    for the backward shot.  The backward shot is not run once the forward
+    one has failed.
+
+    At s = 0 the field is Hamiltonian and a separatrix of the saddle x0
+    lies on H = V(x0).  Where V(sigma) > V(x0) at the section sigma it is a
+    loop that turns back before the section, so that shot is not
+    integrated: its sentinel is x0's side of the section.
 
     At a band edge (pbar = pbar_r or pbar_l) one outer equilibrium is the
     fold.  The shot may depart from it when s > 0, along the strong
@@ -157,6 +164,8 @@ def shoot_heteroclinic(pbar: float, s: float, offset: float = 1e-8,
         x_dep, x_arr = x_r, x_l
     else:
         raise ValueError(f"unknown direction {direction!r}")
+    if not 0.0 < offset < math.inf:
+        raise DomainError(f"offset must be finite and > 0, got {offset}")
     folds = (model.X_MINUS, model.X_PLUS)
     if x_arr in folds:
         raise DomainError(f"{direction} shot at pbar={pbar} arrives at the "
@@ -168,15 +177,17 @@ def shoot_heteroclinic(pbar: float, s: float, offset: float = 1e-8,
 
     sigma = 0.5 * (x_l + x_r)
     x_lo, x_hi = x_l - 0.7, x_r + 0.7
-    fwd_x2, fwd = _shoot_to_section(x_dep, vu, pbar, s, sigma, False,
-                                    offset, x_lo, x_hi)
-    bwd_x2, bwd = _shoot_to_section(x_arr, vs, pbar, s, sigma, True,
-                                    offset, x_lo, x_hi)
-    if fwd_x2 is None:
-        return _failure_gap(fwd, x_lo, x_hi)
-    if bwd_x2 is None:
-        return -_failure_gap(bwd, x_lo, x_hi)
-    return fwd_x2 - bwd_x2
+    crossings = []
+    for x0, vec, backward, sign in ((x_dep, vu, False, 1.0),
+                                    (x_arr, vs, True, -1.0)):
+        if s == 0.0 and potential(sigma, pbar) > potential(x0, pbar):
+            return sign * math.copysign(GAP_SENTINEL, x0 - sigma)
+        x2, traj = _shoot_to_section(x0, vec, pbar, s, sigma, backward,
+                                     offset, x_lo, x_hi)
+        if x2 is None:
+            return sign * _failure_gap(traj, x_lo, x_hi)
+        crossings.append(x2)
+    return crossings[0] - crossings[1]
 
 
 def find_het(direction: str = "left-to-right", pbar: float | None = None,
@@ -186,15 +197,23 @@ def find_het(direction: str = "left-to-right", pbar: float | None = None,
 
     Exactly one of ``pbar``/``s`` must be given; the other is solved for by
     a bracketed hybrid (brentq) on ``scan``, which must straddle a sign
-    change of the gap.
+    change of the gap.  Each argument is shot once per call: the bracket
+    ends, which brentq evaluates again, and the root's residual are looked
+    up, not re-shot.
     """
     if (pbar is None) == (s is None):
         raise ValueError("fix exactly one of pbar, s")
 
     if s is None:
-        gap = lambda sv: shoot_heteroclinic(pbar, sv, direction=direction)
+        shoot = lambda sv: shoot_heteroclinic(pbar, sv, direction=direction)
     else:
-        gap = lambda pv: shoot_heteroclinic(pv, s, direction=direction)
+        shoot = lambda pv: shoot_heteroclinic(pv, s, direction=direction)
+    gaps: dict[float, float] = {}
+
+    def gap(x: float) -> float:
+        if x not in gaps:
+            gaps[x] = shoot(x)
+        return gaps[x]
 
     lo, hi = scan
     g_lo, g_hi = gap(lo), gap(hi)

@@ -123,8 +123,7 @@ def s_star() -> float:
     return conn.s
 
 
-def upper_connection(p: float,
-                     s_scan: tuple[float, float] = (0.0, 1.6)) -> HetConnection:
+def upper_connection(p: float) -> HetConnection:
     """Left-to-right layer connection at the equilibrium height y = x1*(p)."""
     if model.equilibrium_x1(p) >= model.X_MINUS:
         raise DomainError(
@@ -134,7 +133,7 @@ def upper_connection(p: float,
     if not model.PBAR_L < pbar < model.PBAR_R:
         raise DomainError(
             f"height pbar={pbar:.6g} outside the three-equilibria band")
-    return find_het(direction="left-to-right", pbar=pbar, scan=s_scan,
+    return find_het(direction="left-to-right", pbar=pbar, scan=(0.0, 1.6),
                     gap_tol=GAP_TOL)
 
 
@@ -148,22 +147,9 @@ def singular_upper_curve(n: int = 30) -> CurveBranch:
     ps = np.linspace(P_STAR + 1e-4, model.P_MINUS - 1e-4, n)
     branch = CurveBranch(columns=("p", "s", "pbar"),
                          meta={"height": "equilibrium"})
-    # Each speed is bracketed in a window around the previous one, not on
-    # upper_connection's default (0, 1.6): above p = -0.125 or so the shot
-    # at the bracket end s = 0 never crosses the section and runs to the
-    # integrator's time-out (0.05 to 0.8 s, against about 0.02 s for a
-    # crossing shot).  At n = 25 the window takes 295 shots in 6.0 s, a
-    # plain map 307 shots in 20.8 s, for the same speeds to 2e-14 (2-core
-    # x86_64).  The default bracket is the fallback where the window misses
-    # the sign change.
-    window = (0.0, 1.7)
     for p in ps:
-        try:
-            conn = upper_connection(float(p), s_scan=window)
-        except DomainError:
-            conn = upper_connection(float(p))
+        conn = upper_connection(float(p))
         branch.points.append((float(p), conn.s, conn.pbar))
-        window = (max(0.0, conn.s - 0.2), min(1.7, conn.s + 0.4))
     return branch
 
 
@@ -243,8 +229,12 @@ def escape_side(p: float, s: float, eps: float, offset: float = 1e-8) -> int:
     The manifold is launched toward increasing x1 and integrated in fast
     time (at most min(1e4, 100/eps)) until |x1| reaches the escape
     abscissa; on time-out the side of the final x1 relative to the middle
-    branch decides.
+    branch decides.  Needs eps > 0 and a finite offset > 0.
     """
+    if not eps > 0.0:
+        raise DomainError(f"eps must be > 0 for the escape time, got {eps}")
+    if not 0.0 < offset < math.inf:
+        raise DomainError(f"offset must be finite and > 0, got {offset}")
     state, direction = _unstable_direction(p, s, eps)
     params = ModelParams(eps=eps, s=s, p=p)
     max_time = min(1e4, 100.0 / eps)

@@ -129,6 +129,12 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
         (["reduced-orbit", "--p", "inf", "--s", "1.37", "--eps", "0.01"],
          "DomainError", "p"),
         (["c-curve", "--eps", "nan", "--p", "0.05"], "DomainError", "eps"),
+        # eps 0 died in escape_side's escape time 100/eps
+        (["c-curve", "--eps", "0", "--p", "0.05"], "DomainError", "eps"),
+        # shots started on the saddles timed out into a -1e6 section gap
+        (["double-het", "--offset", "0"], "DomainError", "offset"),
+        (["double-het", "--offset", "-0.5"], "DomainError", "offset"),
+        (["double-het", "--offset", "nan"], "DomainError", "offset"),
         (["hopf-curve", "--eps", "nan"], "DomainError", "eps"),
         (["hopf-curve", "--eps", "-0.01"], "DomainError", "eps"),
         (["gh-track", "--eps", "nan"], "DomainError", "eps"),

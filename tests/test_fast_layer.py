@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fhnwave import fast_layer, model
+from fhnwave import fast_layer, homoclinic, model
 from fhnwave.integrate import IntegratorOptions, integrate
 from fhnwave.model import DomainError
 
@@ -156,3 +156,75 @@ def test_fold_shot_domain_errors():
     for pbar in (model.PBAR_L - 1e-9, model.PBAR_R + 1e-9):
         with pytest.raises(DomainError, match="found 1"):
             fast_layer.shoot_heteroclinic(pbar, 1.5)
+
+
+def _counting_integrate(monkeypatch):
+    calls = []
+    real = fast_layer.integrate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fast_layer, "integrate", counted)
+    return calls
+
+
+@pytest.mark.parametrize("direction", ["left-to-right", "right-to-left"])
+@pytest.mark.parametrize("p", [-0.12, -0.075, 0.0316])
+def test_s0_energy_barrier_matches_timed_out_shot(monkeypatch, p, direction):
+    # above p = -0.125 the left saddle at the equilibrium height sits below
+    # the section's potential level: its s = 0 separatrix is a loop.  The
+    # oracle integrates both shots, the blocked one to the time-out.
+    pbar = p - model.equilibrium_x1(p)
+    x_l, _, x_r = model.fast_equilibria_x1(pbar)
+    sigma, x_lo, x_hi = 0.5 * (x_l + x_r), x_l - 0.7, x_r + 0.7
+    x_dep, x_arr = (x_l, x_r) if direction == "left-to-right" else (x_r, x_l)
+    vu, _ = fast_layer.saddle_eigendirections(x_dep, 0.0, toward=x_arr)
+    _, vs = fast_layer.saddle_eigendirections(x_arr, 0.0, toward=x_dep)
+    shots = [fast_layer._shoot_to_section(x0, vec, pbar, 0.0, sigma, back,
+                                          1e-8, x_lo, x_hi)
+             for x0, vec, back in ((x_dep, vu, False), (x_arr, vs, True))]
+    blocked = [i for i, (x2, _) in enumerate(shots) if x2 is None]
+    assert len(blocked) == 1  # the shot from the left saddle
+    traj = shots[blocked[0]][1]
+    assert traj.reason == "time-out"
+    side = np.sign(traj.final_state[0] - sigma)
+    want = side * fast_layer.GAP_SENTINEL * (1 if blocked[0] == 0 else -1)
+
+    calls = _counting_integrate(monkeypatch)
+    assert fast_layer.shoot_heteroclinic(pbar, 0.0,
+                                         direction=direction) == want
+    # only a departure that crosses is integrated
+    assert len(calls) == blocked[0]
+
+
+def test_no_backward_shot_after_forward_failure(monkeypatch):
+    # at s > 0 the left separatrix leaves through x_lo before the section
+    pbar = -0.05 - model.equilibrium_x1(-0.05)
+    calls = _counting_integrate(monkeypatch)
+    assert fast_layer.shoot_heteroclinic(pbar, 0.05) == \
+        -fast_layer.GAP_SENTINEL
+    assert len(calls) == 1
+
+
+def test_find_het_shoots_each_argument_once(monkeypatch):
+    args = []
+    real = fast_layer.shoot_heteroclinic
+
+    def counted(pbar, s, *rest, **kwargs):
+        args.append((pbar, s))
+        return real(pbar, s, *rest, **kwargs)
+
+    monkeypatch.setattr(fast_layer, "shoot_heteroclinic", counted)
+    conn = homoclinic.upper_connection(-0.05)
+    assert abs(conn.section_gap) < homoclinic.GAP_TOL
+    assert len(args) == len(set(args))
+    assert len(args) <= 10
+
+
+@pytest.mark.parametrize("offset", [0.0, -1e-8, float("nan"), float("inf")])
+def test_shot_rejects_bad_offset(offset):
+    with pytest.raises(DomainError, match="offset"):
+        fast_layer.shoot_heteroclinic(fast_layer.PBAR_STAR, 0.0,
+                                      offset=offset)

@@ -74,6 +74,14 @@ def test_escape_side_deterministic():
     assert homoclinic.escape_side(0.05, 1.0, 0.01) == -1
 
 
+@pytest.mark.parametrize("eps, offset, name", [
+    (0.0, 1e-8, "eps"), (-0.01, 1e-8, "eps"), (0.01, 0.0, "offset"),
+    (0.01, float("inf"), "offset")])
+def test_escape_side_rejects_bad_eps_and_offset(eps, offset, name):
+    with pytest.raises(DomainError, match=name):
+        homoclinic.escape_side(0.05, 0.5, eps, offset=offset)
+
+
 def test_locate_c_curve_fields():
     pt = homoclinic.locate_c_curve(0.05, 0.01)
     assert 0.1 < pt.s1 < 0.9

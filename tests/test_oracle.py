@@ -13,7 +13,8 @@ linear solves on the Jacobian matrix.
 
 Layer closed forms: the saddle and fold eigenvectors against LAPACK, and
 the double heteroclinic pbar* and p* against brentq solves of their
-defining equations.
+defining equations.  The integrated s = 0 section gap against energy
+conservation, H = x2^2/2 + V(x1), with V written out here.
 """
 
 import numpy as np
@@ -171,3 +172,20 @@ def test_double_het_closed_forms_match_brentq_oracles():
     p_star = brentq(lambda p: homoclinic.equilibrium_pbar(p) - pbar_star,
                     -1.0, model.P_MINUS, xtol=1e-14, rtol=1e-15)
     assert abs(homoclinic.P_STAR - p_star) < 1e-15
+
+
+@pytest.mark.parametrize("p", [-0.2, -0.13])
+def test_s0_gap_matches_energy_conservation(p):
+    # at s = 0, x1'' = -V'(x1) with V' = (f(x1) + pbar)/5, so a separatrix
+    # of the saddle x0 crosses the section sigma at x2 = sqrt(2(V(x0) -
+    # V(sigma))); both reach it at these equilibrium heights
+    pbar = homoclinic.equilibrium_pbar(p)
+
+    def potential(x):
+        return (-x**4 / 4 + 1.1 * x**3 / 3 - 0.05 * x**2 + pbar * x) / 5
+
+    x_l, _, x_r = model.fast_equilibria_x1(pbar)
+    sigma = 0.5 * (x_l + x_r)
+    want = (np.sqrt(2 * (potential(x_l) - potential(sigma)))
+            - np.sqrt(2 * (potential(x_r) - potential(sigma))))
+    assert abs(fast_layer.shoot_heteroclinic(pbar, 0.0) - want) < 1e-9
