@@ -20,9 +20,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from . import model
+from . import model, roots
 from .curves import CurveBranch
 from .model import DomainError
 
@@ -34,6 +33,9 @@ OMEGA_DEGENERATE = 1e-6
 
 #: Columns of a Hopf-point row (see ``HopfPoint.row``).
 HOPF_COLUMNS = ("p", "s", "eps", "x1_star", "omega", "l1", "criticality")
+
+#: Points of the l1 scan in ``gh_locate``.
+N_SCAN = 160
 
 
 @dataclass
@@ -157,33 +159,30 @@ def lyapunov_l1(point: HopfPoint) -> float:
     return terms.real / (2.0 * omega)
 
 
-def gh_locate(eps: float, n_scan: int = 160) -> list[HopfPoint]:
+def gh_locate(eps: float) -> list[HopfPoint]:
     """Generalized Hopf points: zeros of l1 along the left half of the
     Hopf curve.
 
-    Scans l1 over the x1* sweep, then refines each sign change by a
-    bracketed solve.  Each point returned is labelled ``degenerate``: its
-    l1 is a root, so the sign left there is round-off.  The sweep stops at
-    x1* = 11/30; the curve is symmetric about that abscissa, so the
-    right-half points are the mirror images of the left-half ones.
+    Scans l1 over the x1* sweep (``N_SCAN`` points) and refines each sign
+    change by a bracketed solve, so the points come in x1* order.  Each is
+    labelled ``degenerate``: its l1 is a root, so the sign left there is
+    round-off.  The sweep stops at x1* = 11/30; the curve is symmetric
+    about that abscissa, so the right-half points are the mirror images of
+    the left-half ones.
     """
     lo, hi = hopf_interval(eps)
     hi = min(hi, 11.0 / 30.0)
     # geometric spacing from the left edge: the high-s GH point sits at an
     # x1*-offset that shrinks with eps (the curve steepens into the
     # asymptote), so a uniform grid loses it for eps below ~1e-3
-    xs = lo + (hi - lo) * np.geomspace(1e-8, 1.0, n_scan)
+    xs = lo + (hi - lo) * np.geomspace(1e-8, 1.0, N_SCAN)
     xs[-1] = hi - 1e-4 * (hi - lo)
-    l1s = np.array([hopf_point(float(x), eps).l1 for x in xs])
 
     found = []
-    l1_of = lambda x: hopf_point(float(x), eps).l1
-    for i in range(n_scan - 1):
-        a, b = l1s[i], l1s[i + 1]
-        if np.isnan(a) or np.isnan(b) or a * b > 0.0:
-            continue
-        x_root = brentq(l1_of, xs[i], xs[i + 1], xtol=1e-13, rtol=1e-14)
-        point = hopf_point(float(x_root), eps)
+    l1_of = lambda x: hopf_point(x, eps).l1
+    for cell in roots.scan(l1_of, xs):
+        x_root = roots.refine(l1_of, *cell, xtol=1e-13, rtol=1e-14)[0]
+        point = hopf_point(x_root, eps)
         point.criticality = "degenerate"
         found.append(point)
     return found
@@ -203,8 +202,7 @@ def gh_track(eps_grid) -> tuple[CurveBranch, CurveBranch]:
         if len(pts) != 2:
             raise DomainError(
                 f"expected 2 GH points at eps={eps}, found {len(pts)}")
-        pts.sort(key=lambda pt: pt.x1_star)
-        # smaller x1* sits near the asymptote: large-s branch (GH2)
+        # in x1* order; the smaller x1* sits near the asymptote: GH2, large s
         b1.points.append(pts[1].row())
         b2.points.append(pts[0].row())
     return b1, b2

@@ -21,9 +21,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from . import model
+from . import model, roots
 from .curves import CurveBranch
 from .integrate import IntegratorOptions, Trajectory, integrate
 from .model import DomainError, EquilibriumInfo
@@ -154,10 +153,10 @@ def shoot_heteroclinic(pbar: float, s: float, offset: float = 1e-8,
     (no unstable direction) and a pbar with a single equilibrium raise
     ``DomainError``.
     """
-    roots = model.fast_equilibria_x1(pbar)
-    if len(roots) < 2:
+    xs = model.fast_equilibria_x1(pbar)
+    if len(xs) < 2:
         raise DomainError(f"need 2 layer equilibria, found 1 at pbar={pbar}")
-    x_l, x_r = roots[0], roots[-1]
+    x_l, x_r = xs[0], xs[-1]
     if direction == "left-to-right":
         x_dep, x_arr = x_l, x_r
     elif direction == "right-to-left":
@@ -195,38 +194,20 @@ def find_het(direction: str = "left-to-right", pbar: float | None = None,
              gap_tol: float = 1e-10) -> HetConnection:
     """Solve the section gap to zero in the free parameter.
 
-    Exactly one of ``pbar``/``s`` must be given; the other is solved for by
-    a bracketed hybrid (brentq) on ``scan``, which must straddle a sign
-    change of the gap.  Each argument is shot once per call: the bracket
-    ends, which brentq evaluates again, and the root's residual are looked
-    up, not re-shot.
+    Exactly one of ``pbar``/``s`` must be given; the other is solved for
+    by ``roots.refine`` on ``scan``, which must straddle a sign change of
+    the gap.  Each argument is shot once per call.
     """
     if (pbar is None) == (s is None):
         raise ValueError("fix exactly one of pbar, s")
 
     if s is None:
-        shoot = lambda sv: shoot_heteroclinic(pbar, sv, direction=direction)
+        gap = lambda sv: shoot_heteroclinic(pbar, sv, direction=direction)
     else:
-        shoot = lambda pv: shoot_heteroclinic(pv, s, direction=direction)
-    gaps: dict[float, float] = {}
-
-    def gap(x: float) -> float:
-        if x not in gaps:
-            gaps[x] = shoot(x)
-        return gaps[x]
-
+        gap = lambda pv: shoot_heteroclinic(pv, s, direction=direction)
     lo, hi = scan
-    g_lo, g_hi = gap(lo), gap(hi)
-    if g_lo == 0.0:
-        root = lo
-    elif g_hi == 0.0:
-        root = hi
-    elif g_lo * g_hi > 0.0:
-        raise DomainError(
-            f"no sign change of gap on {scan}: {g_lo:.3g}, {g_hi:.3g}")
-    else:
-        root = brentq(gap, lo, hi, xtol=1e-14, rtol=1e-15)
-    residual = gap(root)
+    root, _, residual, _ = roots.refine(gap, lo, hi, gap(lo), gap(hi),
+                                        xtol=1e-14, rtol=1e-15)
     if abs(residual) > gap_tol:
         raise DomainError(f"gap {residual:.3g} above tolerance at root")
 

@@ -16,9 +16,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from . import model
+from . import bifurcation, model, roots, slow_reduced
 from .curves import CurveBranch
 from .fast_layer import EDGE_MARGIN, PBAR_STAR, HetConnection, find_het
 from .integrate import IntegratorOptions, integrate
@@ -37,6 +36,9 @@ _MIDDLE_X1 = 11.0 / 30.0
 
 #: Flip brackets narrower than this are one (exponentially thin) bundle.
 BUNDLE_WIDTH = 1e-10
+
+#: Speeds on the escape-side scan of ``locate_c_curve``.
+N_SCAN = 24
 
 #: Section gap accepted at the layer connections of the singular skeleton.
 GAP_TOL = 1e-8
@@ -181,22 +183,20 @@ def singular_fast_wave(v: float) -> SingularHomoclinic:
     if v <= 0.0:
         raise DomainError("return height offset v must be positive")
 
-    def mismatch(p: float) -> float:
-        return upper_connection(p).s - return_connection(p, v).s
-
+    mismatch = lambda p: upper_connection(p).s - return_connection(p, v).s
     lo, hi = P_STAR + 1e-4, model.P_MINUS - 1e-4
 
     def clip(target: float, default: float) -> float:
         """p in (p*, p_-) where the return height hits the band edge."""
         f = lambda p: equilibrium_pbar(p, v) - target
-        if f(lo) * f(hi) < 0:
-            return float(brentq(f, lo, hi, xtol=1e-12))
-        return default
+        cells = roots.scan(f, (lo, hi))
+        return roots.refine(f, *cells[0], xtol=1e-12)[0] if cells else default
 
     # the return height must keep pbar inside (pbar_l, pbar*)
     p_lo = clip(model.PBAR_L + 1e-4, lo)
     p_hi = clip(PBAR_STAR - 1e-5, hi)
-    p_sol = brentq(mismatch, p_lo, p_hi, xtol=1e-11)
+    p_sol = roots.refine(mismatch, p_lo, p_hi, mismatch(p_lo), mismatch(p_hi),
+                         xtol=1e-11)[0]
     up = upper_connection(p_sol)
     down = return_connection(p_sol, v)
     return SingularHomoclinic(p=float(p_sol), s=0.5 * (up.s + down.s),
@@ -205,22 +205,23 @@ def singular_fast_wave(v: float) -> SingularHomoclinic:
 
 
 def _unstable_direction(p: float, s: float, eps: float):
-    """Saddle-focus q and its real unstable direction, oriented x1-up."""
-    params = ModelParams(eps=eps, s=s, p=p)
+    """Saddle-focus q and its real unstable direction, oriented x1-up: the
+    root lambda in (0, 1 + max|c_i|) of the characteristic polynomial (c0 < 0
+    on the equilibrium curve) and its eigenvector (1, lambda, e/(lambda + e)).
+    The deflated quadratic must have no positive root."""
     x1s = model.equilibrium_x1(p)
-    state = np.array([x1s, 0.0, x1s])
-    w, v = np.linalg.eig(model.full_jacobian(state, params))
-    real_pos = [i for i in range(3)
-                if abs(w[i].imag) < 1e-9 * max(1.0, abs(w[i].real))
-                and w[i].real > 0.0]
-    if len(real_pos) != 1:
-        raise DomainError(
-            f"expected one real unstable eigenvalue at p={p}, s={s}: {w}")
-    direction = v[:, real_pos[0]].real
-    direction = direction / np.linalg.norm(direction)
-    if direction[0] < 0:
-        direction = -direction
-    return state, direction
+    c0, c1, c2 = bifurcation.char_poly_coeffs(x1s, s, eps)
+    poly = lambda lam: ((lam + c2) * lam + c1) * lam + c0
+    bound = 1.0 + max(abs(c0), abs(c1), abs(c2))
+    lam = roots.refine(poly, 0.0, bound, c0, poly(bound), xtol=1e-15)[0]
+    b, c = c2 + lam, c1 + lam * (c2 + lam)  # deflated: x^2 + b*x + c
+    if lam <= 0.0 or (b < 0.0 and b * b >= 4.0 * c):
+        raise DomainError(f"expected one real unstable eigenvalue at p={p}, "
+                          f"s={s}: {lam}, roots of x^2 + {b}*x + {c}")
+    e = eps / s
+    v3 = e / (lam + e)
+    return (np.array([x1s, 0.0, x1s]),
+            np.array([1.0, lam, v3]) / math.hypot(1.0, lam, v3))
 
 
 def escape_side(p: float, s: float, eps: float, offset: float = 1e-8) -> int:
@@ -235,8 +236,8 @@ def escape_side(p: float, s: float, eps: float, offset: float = 1e-8) -> int:
         raise DomainError(f"eps must be > 0 for the escape time, got {eps}")
     if not 0.0 < offset < math.inf:
         raise DomainError(f"offset must be finite and > 0, got {offset}")
-    state, direction = _unstable_direction(p, s, eps)
     params = ModelParams(eps=eps, s=s, p=p)
+    state, direction = _unstable_direction(p, s, eps)
     max_time = min(1e4, 100.0 / eps)
     opts = IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12,
                              max_time=max_time, escape_radius=50.0)
@@ -250,57 +251,37 @@ def escape_side(p: float, s: float, eps: float, offset: float = 1e-8) -> int:
     return 1 if float(traj.final_state[0]) > _MIDDLE_X1 else -1
 
 
-def _refine_flip(p, eps, s_lo, s_hi, side_lo, bracket_tol, offset):
-    """Bisect one left/right flip of the escape side to the bracket width."""
-    while s_hi - s_lo > bracket_tol:
-        mid = 0.5 * (s_lo + s_hi)
-        if mid in (s_lo, s_hi):  # float-limited bracket
-            break
-        if escape_side(p, mid, eps, offset=offset) == side_lo:
-            s_lo = mid
-        else:
-            s_hi = mid
-    return s_lo, s_hi
-
-
 def locate_c_curve(p: float, eps: float,
                    s_scan: tuple[float, float] = (0.05, 1.55),
-                   n_scan: int = 24, bracket_tol: float = 1e-12,
+                   bracket_tol: float = 1e-12,
                    offset: float = 1e-8) -> CCurvePoint:
     """Both homoclinic speeds at (p, eps) by unstable-manifold splitting.
 
-    Scans s over ``s_scan``, brackets each flip of the left/right escape
-    classification and bisects it to ``bracket_tol``.  Flips closer than
-    the bundle width count as a single C-curve point; anything other than
-    exactly two distinct speeds raises with the count found.
+    Scans s over ``s_scan`` (``N_SCAN`` speeds), brackets each flip of the
+    left/right escape classification and bisects it to ``bracket_tol``.
+    Flips closer than the bundle width count as one C-curve point; anything
+    other than exactly two distinct speeds raises with the count found.
     """
     if not 0.0 <= bracket_tol < math.inf:
         raise DomainError(f"bracket_tol must be finite and >= 0, "
                           f"got {bracket_tol}")
-    grid = np.linspace(s_scan[0], s_scan[1], n_scan)
-    sides = [escape_side(p, float(s), eps, offset=offset) for s in grid]
-    flips = [(float(grid[i]), float(grid[i + 1]), sides[i])
-             for i in range(n_scan - 1) if sides[i] != sides[i + 1]]
-    roots: list[tuple[float, float]] = []
-    for s_lo, s_hi, side_lo in flips:
-        lo, hi = _refine_flip(p, eps, s_lo, s_hi, side_lo, bracket_tol,
-                              offset)
-        mid = 0.5 * (lo + hi)
-        if roots and mid - 0.5 * sum(roots[-1]) < BUNDLE_WIDTH:
+    side = lambda s: escape_side(p, s, eps, offset=offset)
+    found: list[tuple[float, float]] = []
+    for cell in roots.scan(side, np.linspace(s_scan[0], s_scan[1], N_SCAN)):
+        lo, hi, _, _ = roots.refine(side, *cell, xtol=bracket_tol)
+        if found and 0.5 * (lo + hi) - 0.5 * sum(found[-1]) < BUNDLE_WIDTH:
             continue  # same exponentially thin bundle
-        roots.append((lo, hi))
-    if len(roots) != 2:
+        found.append((lo, hi))
+    if len(found) != 2:
         raise DomainError(
             f"expected 2 splitting speeds at p={p}, eps={eps}; "
-            f"found {len(roots)} in {s_scan}")
-    (lo1, hi1), (lo2, hi2) = roots
+            f"found {len(found)} in {s_scan}")
+    (lo1, hi1), (lo2, hi2) = found
     return CCurvePoint(p=p, s1=0.5 * (lo1 + hi1), s2=0.5 * (lo2 + hi2),
-                       eps=eps,
-                       bracket_width=max(hi1 - lo1, hi2 - lo2))
+                       eps=eps, bracket_width=max(hi1 - lo1, hi2 - lo2))
 
 
 def trace_c_curve(eps: float, p_grid,
-                  s_scan: tuple[float, float] = (0.05, 1.55),
                   bracket_tol: float = 1e-12) -> CurveBranch:
     """Map locate_c_curve over a p-grid: each point is solved on its own.
 
@@ -311,8 +292,7 @@ def trace_c_curve(eps: float, p_grid,
                          meta={"eps": eps, "failures": []})
     for p in p_grid:
         try:
-            pt = locate_c_curve(float(p), eps, s_scan=s_scan,
-                                bracket_tol=bracket_tol)
+            pt = locate_c_curve(float(p), eps, bracket_tol=bracket_tol)
         except DomainError as exc:
             branch.meta["failures"].append((float(p), str(exc)))
             continue
@@ -323,8 +303,6 @@ def trace_c_curve(eps: float, p_grid,
 def assemble_singular_diagram(n_curve: int = 25) -> SingularDiagram:
     """Compose the singular skeleton: A, B, C, segment AB, curve AC,
     the Hopf asymptotes and the eps = 0 canard abscissa."""
-    from . import bifurcation, slow_reduced
-
     s_term = s_star()
     ab = [(float(p), 0.0)
           for p in np.linspace(P_STAR, model.P_MINUS, n_curve)]

@@ -72,6 +72,22 @@ def test_gh_locate_two_points_left_half():
     assert pts[0].x1_star != pts[1].x1_star
 
 
+def test_gh_locate_evaluates_each_point_once(monkeypatch):
+    # 160 scan points, then per GH point the brentq steps inside its cell
+    # and the point at the root; the cell ends are not evaluated again
+    args = []
+    real = bifurcation.hopf_point
+
+    def counted(x1_star, eps):
+        args.append(x1_star)
+        return real(x1_star, eps)
+
+    monkeypatch.setattr(bifurcation, "hopf_point", counted)
+    assert len(bifurcation.gh_locate(0.01)) == 2
+    assert len(args) <= 172
+    assert not set(args[:160]) & set(args[160:])
+
+
 def test_gh_rejects_x1_outside_interval():
     lo, _ = bifurcation.hopf_interval(0.01)
     with pytest.raises(DomainError):

@@ -90,6 +90,22 @@ def test_locate_c_curve_fields():
     assert pt.bracket_width <= 1e-12
 
 
+def test_locate_c_curve_shot_count(monkeypatch):
+    # 24 scan shots, then 36 bisection shots for each of the two flips,
+    # every one at a new speed
+    speeds = []
+    real = homoclinic.escape_side
+
+    def counted(p, s, eps, offset=1e-8):
+        speeds.append(s)
+        return real(p, s, eps, offset=offset)
+
+    monkeypatch.setattr(homoclinic, "escape_side", counted)
+    homoclinic.locate_c_curve(0.05, 0.01)
+    assert len(speeds) == 96
+    assert len(set(speeds)) == 96
+
+
 def test_locate_c_curve_reports_flip_count():
     with pytest.raises(DomainError, match="found"):
         homoclinic.locate_c_curve(-0.15, 0.01)

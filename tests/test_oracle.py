@@ -9,7 +9,9 @@ eigenvectors) come from the package.
 Hopf algebra: the package evaluates the characteristic polynomial and the
 first Lyapunov coefficient in closed form; the oracles are numpy's
 ``poly`` and the projection formula evaluated with LAPACK eigenvectors and
-linear solves on the Jacobian matrix.
+linear solves on the Jacobian matrix.  The unstable direction of the
+saddle-focus q, a polynomial root and its closed-form eigenvector in the
+package, is checked against the LAPACK eigenvector.
 
 Layer closed forms: the saddle and fold eigenvectors against LAPACK, and
 the double heteroclinic pbar* and p* against brentq solves of their
@@ -24,7 +26,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from fhnwave import bifurcation, fast_layer, homoclinic, model
-from fhnwave.model import ModelParams
+from fhnwave.model import DomainError, ModelParams
 
 
 def _radau(field, jac, y0, t_end, event):
@@ -125,6 +127,43 @@ def test_closed_form_hopf_matches_eigensolver_oracle(eps):
        eps=st.floats(0.0, 0.5))
 def test_char_poly_coeffs_match_numpy_poly(x1, s, eps):
     assert _char_poly_error(x1, s, eps) <= 1e-12
+
+
+def _eig_unstable_direction(p, s, eps):
+    """q and its one real unstable eigenvector from LAPACK, oriented x1-up;
+    None when the Jacobian has not exactly one real positive eigenvalue."""
+    x1s = model.equilibrium_x1(p)
+    state = np.array([x1s, 0.0, x1s])
+    w, v = np.linalg.eig(model.full_jacobian(state, ModelParams(p, s, eps)))
+    real_pos = [i for i in range(3)
+                if abs(w[i].imag) < 1e-9 * max(1.0, abs(w[i].real))
+                and w[i].real > 0.0]
+    if len(real_pos) != 1:
+        return None
+    direction = v[:, real_pos[0]].real
+    direction = direction / np.linalg.norm(direction)
+    return state, -direction if direction[0] < 0 else direction
+
+
+# criterion 13 at (0.05, 0.01) with its two speeds, and the ends of
+# criterion 14's p-grid and of the speed scan at each of its eps
+@pytest.mark.parametrize("p, s, eps", [
+    (0.05, 0.875840, 0.01), (0.05, 1.325408, 0.01),
+    *[(p, s, eps) for eps in (1e-2, 1e-3, 1e-4) for p in (0.015, 0.05)
+      for s in (0.05, 1.55)]])
+def test_unstable_direction_matches_eig_oracle(p, s, eps):
+    state, direction = homoclinic._unstable_direction(p, s, eps)
+    want_state, want = _eig_unstable_direction(p, s, eps)
+    assert np.array_equal(state, want_state)
+    assert np.max(np.abs(direction - want)) <= 1e-12
+
+
+def test_unstable_direction_rejects_three_unstable_eigenvalues():
+    # q on the middle branch at p = 0.075: at s = 1, eps = 1e-4 its three
+    # eigenvalues are real and positive (0.134, 0.064, 0.0022)
+    assert _eig_unstable_direction(0.075, 1.0, 1e-4) is None
+    with pytest.raises(DomainError, match="one real unstable eigenvalue"):
+        homoclinic._unstable_direction(0.075, 1.0, 1e-4)
 
 
 def _eig_directions(x1, s, toward):
