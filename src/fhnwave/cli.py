@@ -154,10 +154,11 @@ def cmd_gh_track(args) -> Artifact:
 
 
 def cmd_canard(args) -> Artifact:
-    info = slow_reduced.canard_info(args.eps)
-    return "canard.json", {"eps": info.eps, "p_maximal": info.p_maximal,
-                           "p_hopf_minus": info.p_hopf_minus,
-                           "p_hopf_plus": info.p_hopf_plus}, {}
+    ph_minus, ph_plus = slow_reduced.reduced_hopf_values(args.eps)
+    p_maximal = slow_reduced.maximal_canard_p(args.eps)
+    return "canard.json", {"eps": args.eps, "p_maximal": p_maximal,
+                           "p_hopf_minus": ph_minus,
+                           "p_hopf_plus": ph_plus}, {}
 
 
 def cmd_canard_stability(args) -> Artifact:

@@ -70,10 +70,18 @@ class HetConnection:
 
 
 def layer_equilibria(pbar: float, s: float = 0.0) -> list[EquilibriumInfo]:
-    """Equilibria of the layer problem, sorted by x1."""
+    """Equilibria (x1, 0) of the layer problem, sorted by x1, with the
+    eigendata of the layer Jacobian at speed s."""
     if not math.isfinite(s):
         raise DomainError(f"s must be finite, got {s}")
-    return [model.fast_equilibrium_info(x, s) for x in model.fast_equilibria_x1(pbar)]
+    infos = []
+    for x1 in model.fast_equilibria_x1(pbar):
+        eigenvalues = np.linalg.eigvals(model.fast_jacobian(x1, s))
+        infos.append(EquilibriumInfo(
+            state=np.array([x1, 0.0]), eigenvalues=eigenvalues,
+            kind=model.classify_eigenvalues(eigenvalues),
+            branch=model.branch_of(x1)))
+    return infos
 
 
 def saddle_eigendirections(x1: float, s: float, toward: float):

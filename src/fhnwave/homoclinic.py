@@ -1,13 +1,15 @@
 """Homoclinic wave speeds: singular construction and finite-eps location.
 
 The singular (eps = 0) homoclinic skeleton in the (p, s) parameter plane
-consists of a segment of slow waves on the axis s = 0 and a curve of fast
-waves built from layer heteroclinics taken at the equilibrium height
-y = x1*(p) (upward jump) and at a return height y = x1*(p) + v (downward
-jump).  For eps > 0 the actual homoclinic speeds are located without
-computing the orbits: the one-dimensional unstable manifold of the
-saddle-focus q eventually escapes left or right, and the speeds at which
-the classification flips are the homoclinic bifurcation values.
+consists of a segment of slow waves on the axis s = 0 and the curve AC of
+fast waves: the speed of the upward layer heteroclinic at the equilibrium
+height y = x1*(p) (``singular_upper_curve``).  The downward jump of a fast
+wave at speed s returns at the height y = x1*(p) + v that
+``return_height_at`` gives.  For eps > 0 the actual homoclinic speeds are
+located without computing the orbits: the one-dimensional unstable
+manifold of the saddle-focus q eventually escapes left or right, and the
+speeds at which the classification flips are the homoclinic bifurcation
+values.
 """
 
 from __future__ import annotations
@@ -45,23 +47,6 @@ GAP_TOL = 1e-8
 
 #: Columns of a C-curve row (see ``CCurvePoint.row``).
 C_CURVE_COLUMNS = ("p", "s1", "s2", "eps", "bracket_width")
-
-
-@dataclass
-class SingularHomoclinic:
-    """A singular (eps = 0) homoclinic orbit assembled from heteroclinics.
-
-    ``up_connection`` is the left-to-right layer connection at the
-    equilibrium height y = x1*(p); fast waves carry a second, right-to-left
-    ``down_connection`` at the return height y = x1*(p) + v.
-    """
-
-    p: float
-    s: float
-    up_connection: HetConnection
-    down_connection: HetConnection | None
-    v: float
-    kind: str  # "slow-wave", "fast-wave" or "double-het"
 
 
 @dataclass
@@ -108,9 +93,9 @@ class SingularDiagram:
         }
 
 
-def equilibrium_pbar(p: float, v: float = 0.0) -> float:
-    """Layer parameter p - y at the height y = x1*(p) + v."""
-    return p - model.equilibrium_x1(p) - v
+def equilibrium_pbar(p: float) -> float:
+    """Layer parameter p - y at the equilibrium height y = x1*(p)."""
+    return p - model.equilibrium_x1(p)
 
 
 def s_star() -> float:
@@ -155,16 +140,6 @@ def singular_upper_curve(n: int = 30) -> CurveBranch:
     return branch
 
 
-def return_connection(p: float, v: float) -> HetConnection:
-    """Right-to-left layer connection at the return height y = x1*(p) + v."""
-    pbar = equilibrium_pbar(p, v)
-    if not model.PBAR_L < pbar < model.PBAR_R:
-        raise DomainError(
-            f"height pbar={pbar:.6g} outside the three-equilibria band")
-    return find_het(direction="right-to-left", pbar=pbar, scan=(0.0, 1.6),
-                    gap_tol=GAP_TOL)
-
-
 def return_height_at(p: float, s: float) -> float:
     """Return offset v whose right-to-left connection runs at speed s.
 
@@ -175,33 +150,6 @@ def return_height_at(p: float, s: float) -> float:
     conn = find_het(direction="right-to-left", s=s, scan=scan,
                     gap_tol=GAP_TOL)
     return equilibrium_pbar(p) - conn.pbar
-
-
-def singular_fast_wave(v: float) -> SingularHomoclinic:
-    """Singular fast wave with return offset v: the intersection of the
-    equilibrium-height curve with the return curve for that v."""
-    if v <= 0.0:
-        raise DomainError("return height offset v must be positive")
-
-    mismatch = lambda p: upper_connection(p).s - return_connection(p, v).s
-    lo, hi = P_STAR + 1e-4, model.P_MINUS - 1e-4
-
-    def clip(target: float, default: float) -> float:
-        """p in (p*, p_-) where the return height hits the band edge."""
-        f = lambda p: equilibrium_pbar(p, v) - target
-        cells = roots.scan(f, (lo, hi))
-        return roots.refine(f, *cells[0], xtol=1e-12)[0] if cells else default
-
-    # the return height must keep pbar inside (pbar_l, pbar*)
-    p_lo = clip(model.PBAR_L + 1e-4, lo)
-    p_hi = clip(PBAR_STAR - 1e-5, hi)
-    p_sol = roots.refine(mismatch, p_lo, p_hi, mismatch(p_lo), mismatch(p_hi),
-                         xtol=1e-11)[0]
-    up = upper_connection(p_sol)
-    down = return_connection(p_sol, v)
-    return SingularHomoclinic(p=float(p_sol), s=0.5 * (up.s + down.s),
-                              up_connection=up, down_connection=down,
-                              v=v, kind="fast-wave")
 
 
 def _unstable_direction(p: float, s: float, eps: float):
@@ -261,13 +209,18 @@ def locate_c_curve(p: float, eps: float,
     left/right escape classification and bisects it to ``bracket_tol``.
     Flips closer than the bundle width count as one C-curve point; anything
     other than exactly two distinct speeds raises with the count found.
+    Needs 0 < s_lo < s_hi < inf for ``s_scan = (s_lo, s_hi)``.
     """
+    s_lo, s_hi = s_scan
+    if not 0.0 < s_lo < s_hi < math.inf:  # also rejects NaN
+        raise DomainError(f"s_scan must satisfy 0 < s_lo < s_hi < inf, "
+                          f"got {s_scan}")
     if not 0.0 <= bracket_tol < math.inf:
         raise DomainError(f"bracket_tol must be finite and >= 0, "
                           f"got {bracket_tol}")
     side = lambda s: escape_side(p, s, eps, offset=offset)
     found: list[tuple[float, float]] = []
-    for cell in roots.scan(side, np.linspace(s_scan[0], s_scan[1], N_SCAN)):
+    for cell in roots.scan(side, np.linspace(s_lo, s_hi, N_SCAN)):
         lo, hi, _, _ = roots.refine(side, *cell, xtol=bracket_tol)
         if found and 0.5 * (lo + hi) - 0.5 * sum(found[-1]) < BUNDLE_WIDTH:
             continue  # same exponentially thin bundle

@@ -67,11 +67,6 @@ def cubic_third():
     return -6.0
 
 
-def nullcline(x1, p):
-    """The critical-manifold graph c(x1; p) = c0(x1) + p."""
-    return cubic(x1) + p
-
-
 def equilibrium_p(x1):
     """Applied current p for which x1 is the full-system equilibrium.
 
@@ -91,7 +86,6 @@ class EquilibriumKind(str, Enum):
     SADDLE = "saddle"
     SOURCE = "source"
     SINK = "sink"
-    SADDLE_FOCUS = "saddle-focus"
     FOLD_DEGENERATE = "fold-degenerate"
 
 
@@ -122,7 +116,7 @@ class ModelParams:
 
 @dataclass
 class EquilibriumInfo:
-    """Fixed point of one of the subsystems with its linearization data."""
+    """Layer-problem equilibrium with its linearization data."""
 
     state: np.ndarray
     eigenvalues: np.ndarray
@@ -248,25 +242,11 @@ def classify_eigenvalues(eigenvalues) -> EquilibriumKind:
     re = ev.real
     if np.any(np.abs(re) < FOLD_TOL) or np.any(np.abs(ev) < FOLD_TOL):
         return EquilibriumKind.FOLD_DEGENERATE
-    complex_pair = np.any(np.abs(ev.imag) > FOLD_TOL)
     if np.all(re > 0):
         return EquilibriumKind.SOURCE
     if np.all(re < 0):
         return EquilibriumKind.SINK
-    if complex_pair:
-        return EquilibriumKind.SADDLE_FOCUS
     return EquilibriumKind.SADDLE
-
-
-def fast_equilibrium_info(x1: float, s: float) -> EquilibriumInfo:
-    """Layer-problem equilibrium (x1, 0) with its eigendata."""
-    eigenvalues = np.linalg.eigvals(fast_jacobian(x1, s))
-    return EquilibriumInfo(
-        state=np.array([x1, 0.0]),
-        eigenvalues=eigenvalues,
-        kind=classify_eigenvalues(eigenvalues),
-        branch=branch_of(x1),
-    )
 
 
 def equilibrium_x1(p: float) -> float:
@@ -280,22 +260,6 @@ def equilibrium_x1(p: float) -> float:
     while func(hi) < 0.0:
         hi *= 2.0
     return brentq(func, lo, hi, xtol=1e-15, rtol=1e-15)
-
-
-def full_equilibrium(p: float, s: float = 1.0, eps: float = 0.01) -> EquilibriumInfo:
-    """The unique equilibrium q = (x1*, 0, x1*) of the full system at p.
-
-    Eigenvalues are those of the fast-time Jacobian at the requested (s, eps).
-    """
-    x1s = equilibrium_x1(p)
-    state = np.array([x1s, 0.0, x1s])
-    eigenvalues = np.linalg.eigvals(full_jacobian(state, ModelParams(p, s, eps)))
-    return EquilibriumInfo(
-        state=state,
-        eigenvalues=eigenvalues,
-        kind=classify_eigenvalues(eigenvalues),
-        branch=branch_of(x1s),
-    )
 
 
 def symmetry_transform(state, p: float) -> tuple[np.ndarray, float]:

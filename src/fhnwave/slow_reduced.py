@@ -1,6 +1,6 @@
-"""The two-slow/one-fast reduction: slow and desingularized slow flow,
-reduced Hopf values, maximal-canard asymptotics, the canard stability
-integral R(h), and reduced-orbit simulation.
+"""The two-slow/one-fast reduction: reduced Hopf values, maximal-canard
+asymptotics, the canard stability integral R(h), and reduced-orbit
+simulation.
 
 Two equivalent charts of the reduction are supported:
 
@@ -40,35 +40,6 @@ SUMMARY_SAMPLES = 4000
 _EXCURSION_FRACTION = 0.3
 
 
-@dataclass(frozen=True)
-class CanardInfo:
-    """Canard and reduced-Hopf locations at a given eps."""
-
-    eps: float
-    p_maximal: float
-    p_hopf_minus: float
-    p_hopf_plus: float
-
-
-def slow_flow_rate(x1: float, p: float, s: float) -> float:
-    """Projected slow flow (x1 - c(x1; p)) / (s * c'(x1)); singular at folds."""
-    if s <= 0.0:
-        raise DomainError("slow flow requires s > 0")
-    denom = s * model.cubic_prime(x1)
-    if abs(denom) < 1e-12:
-        raise DomainError("fold blow-up: c'(x1) = 0")
-    return (x1 - model.nullcline(x1, p)) / denom
-
-
-def desingularized_rate(x1: float, p: float) -> float:
-    """Desingularized slow flow x1 - c(x1; p); smooth everywhere.
-
-    The time rescaling by s*c'(x1) reverses the time orientation on the
-    outer branches C_l and C_r where c' < 0.
-    """
-    return x1 - model.nullcline(x1, p)
-
-
 def reduced_hopf_values(eps: float) -> tuple[float, float]:
     """Supercritical Hopf locations (p_H-, p_H+) of the eq17 reduction.
 
@@ -91,12 +62,6 @@ def maximal_canard_p(eps: float) -> float:
     if not 0.0 <= eps < math.inf:  # also rejects NaN
         raise DomainError(f"eps must be finite and >= 0, got {eps}")
     return model.P_MINUS + 0.625 * eps
-
-
-def canard_info(eps: float) -> CanardInfo:
-    ph_minus, ph_plus = reduced_hopf_values(eps)
-    return CanardInfo(eps=eps, p_maximal=maximal_canard_p(eps),
-                      p_hopf_minus=ph_minus, p_hopf_plus=ph_plus)
 
 
 def phi(x):

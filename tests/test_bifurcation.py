@@ -22,9 +22,9 @@ def test_hopf_interval_formula():
 def test_hopf_point_has_imaginary_pair():
     lo, hi = bifurcation.hopf_interval(0.01)
     pt = bifurcation.hopf_point(0.5 * (lo + hi), 0.01)
-    info = model.full_equilibrium(pt.p, pt.s, 0.01)
+    q = np.array([pt.x1_star, 0.0, pt.x1_star])
     ev = np.linalg.eigvals(model.full_jacobian(
-        info.state, ModelParams(pt.p, pt.s, 0.01)))
+        q, ModelParams(pt.p, pt.s, 0.01)))
     pair = sorted(ev, key=lambda w: abs(w.real))[:2]
     assert all(abs(w.real) < 1e-10 for w in pair)
     assert abs(abs(pair[0].imag) - pt.omega) < 1e-9

@@ -143,6 +143,9 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
         (["c-curve", "--eps", "0.01", "--p", "0.05", "--bracket-tol", "nan"],
          "DomainError", "bracket_tol"),
         (["het-curve", "--s-max", "nan"], "DomainError", "s_max"),
+        # a reversed window bisected nothing and reported "found 1"
+        (["c-curve", "--eps", "0.01", "--p", "0.05", "--s-lo", "1.55",
+          "--s-hi", "0.05"], "DomainError", "s_scan"),
         # the quadrature ignores a NaN tolerance and writes it to the header
         (["canard-stability", "--n", "3", "--abs-tol", "nan"], "DomainError",
          "abs_tol"),

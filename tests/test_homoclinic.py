@@ -43,29 +43,21 @@ def test_return_height_grows_with_speed():
     for p in ps:
         conn = homoclinic.upper_connection(p)
         speeds.append(conn.s)
-        heights.append(homoclinic.return_height_at(p, conn.s))
+        v = homoclinic.return_height_at(p, conn.s)
+        heights.append(v)
+        # the fast wave returns between the equilibrium height x1*(p) and
+        # the right fold's height c(X_PLUS; p)
+        assert 0.0 < v < model.cubic(model.X_PLUS) + p - model.equilibrium_x1(p)
     assert all(b > a for a, b in zip(speeds, speeds[1:]))
     assert all(b > a for a, b in zip(heights, heights[1:]))
 
 
 def test_return_curves_ordered_by_height():
-    # larger return offset v -> higher speed curve (top to bottom:
-    # v = 0.125, 0.12, 0.115)
-    p_probe = 0.03
-    speeds = [homoclinic.return_connection(p_probe, v).s
-              for v in (0.125, 0.12, 0.115)]
-    assert speeds[0] > speeds[1] > speeds[2]
-
-
-def test_singular_fast_wave_intersection():
-    wave = homoclinic.singular_fast_wave(0.125)
-    assert wave.kind == "fast-wave"
-    assert abs(wave.up_connection.section_gap) < 1e-8
-    assert abs(wave.down_connection.section_gap) < 1e-8
-    assert abs(wave.up_connection.s - wave.down_connection.s) < 1e-7
-    # fast-wave return height sits between the equilibrium and the fold
-    x1s = model.equilibrium_x1(wave.p)
-    assert x1s < x1s + wave.v < model.nullcline(model.X_PLUS, wave.p)
+    # a faster down jump returns higher: the speeds are those of the
+    # return offsets v = 0.115, 0.12 and 0.125 at this p
+    heights = [homoclinic.return_height_at(0.03, s)
+               for s in (0.9095, 1.0444, 1.2250)]
+    assert heights[0] < heights[1] < heights[2]
 
 
 def test_escape_side_deterministic():
@@ -109,6 +101,20 @@ def test_locate_c_curve_shot_count(monkeypatch):
 def test_locate_c_curve_reports_flip_count():
     with pytest.raises(DomainError, match="found"):
         homoclinic.locate_c_curve(-0.15, 0.01)
+
+
+@pytest.mark.parametrize("s_scan", [
+    (1.55, 0.05), (0.5, 0.5), (0.0, 1.55), (-0.05, 1.55), (0.05, np.inf),
+    (np.nan, 1.55), (0.05, np.nan)])
+def test_locate_c_curve_rejects_bad_s_scan(s_scan, monkeypatch):
+    # a reversed window once bisected nothing and merged two flips into
+    # one bundle ("found 1"); every bad window fails before any shot
+    def no_shot(*args, **kwargs):
+        raise AssertionError("escape_side called")
+
+    monkeypatch.setattr(homoclinic, "escape_side", no_shot)
+    with pytest.raises(DomainError, match="s_scan"):
+        homoclinic.locate_c_curve(0.05, 0.01, s_scan=s_scan)
 
 
 @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-12])

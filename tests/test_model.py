@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fhnwave import model
+from fhnwave import fast_layer, model
 from fhnwave.model import DomainError, EquilibriumKind, ModelParams
 
 
@@ -37,10 +37,21 @@ def test_equilibrium_p_inverts_equilibrium_x1():
         assert abs(model.equilibrium_p(x1) - p) < 1e-12
 
 
+def test_equilibrium_p_strictly_increasing():
+    # p(x1) = x1 - c0(x1) is strictly increasing, so x1 = c(x1; p) has
+    # exactly one root for every p: the full system has one equilibrium
+    xs = np.linspace(-1.5, 2.0, 4001)
+    ps = model.equilibrium_p(xs)
+    assert np.all(np.diff(ps) > 0.0)
+    for p in (-0.3, 0.05, 0.4, 0.9):
+        assert ps[0] < p < ps[-1]
+
+
 def test_full_field_vanishes_at_equilibrium():
     for p in (-0.2, 0.05, 0.3, 0.7):
-        info = model.full_equilibrium(p, s=0.9, eps=0.02)
-        f = model.full_field(info.state, ModelParams(p, 0.9, 0.02))
+        x1s = model.equilibrium_x1(p)
+        q = np.array([x1s, 0.0, x1s])
+        f = model.full_field(q, ModelParams(p, 0.9, 0.02))
         assert np.max(np.abs(f)) < 1e-13
 
 
@@ -110,8 +121,8 @@ def test_fast_equilibria_near_saddle_node():
 
 def test_layer_saddles_and_center():
     pbar = -0.06
-    infos = [model.fast_equilibrium_info(x, 0.0)
-             for x in model.fast_equilibria_x1(pbar)]
+    infos = fast_layer.layer_equilibria(pbar, 0.0)
+    assert len(infos) == 3
     assert infos[0].kind == EquilibriumKind.SADDLE
     assert infos[1].kind == EquilibriumKind.FOLD_DEGENERATE  # neutral center at s = 0
     assert infos[2].kind == EquilibriumKind.SADDLE

@@ -1,4 +1,4 @@
-"""Tests for the slow flow, canard location/stability, and reductions."""
+"""Tests for the reduced Hopf values, the canard and the reductions."""
 
 import math
 
@@ -42,27 +42,6 @@ def test_maximal_canard_value_and_ordering():
     assert p_c > slow_reduced.reduced_hopf_values(0.01)[0]
     assert abs(slow_reduced.maximal_canard_p(0.0)
                - model.P_MINUS) < 1e-14
-
-
-def test_slow_flow_rate_blows_up_at_fold():
-    with pytest.raises(DomainError):
-        slow_reduced.slow_flow_rate(model.X_MINUS, 0.1, 1.0)
-
-
-def test_desingularized_rate_matches_slow_flow():
-    for x1 in (-0.2, 0.2, 0.9):
-        for p in (0.0, 0.3):
-            lhs = slow_reduced.desingularized_rate(x1, p)
-            rhs = slow_reduced.slow_flow_rate(x1, p, 1.0) * model.cubic_prime(x1)
-            assert abs(lhs - rhs) < 1e-12
-
-
-def test_desingularized_rate_single_zero():
-    for p in (-0.3, 0.05, 0.4, 0.9):
-        xs = np.linspace(-1.5, 2.0, 4001)
-        vals = np.array([slow_reduced.desingularized_rate(float(x), p)
-                         for x in xs])
-        assert int(np.sum(np.sign(vals[:-1]) != np.sign(vals[1:]))) == 1
 
 
 def test_canard_height_roots_invert_phi():
