@@ -1,12 +1,16 @@
 """Adaptive integration with dense output and events, on scipy's DOP853.
 
 Shared numerical engine for the shooting and manifold-tracking modules.
-Each accepted step of the 8(5,3) Dormand-Prince stepper
-(``scipy.integrate.DOP853``) is kept as its dense output.  Event
-functions are scalar; every sign change is localized on the dense output
-of the step it falls in, so event times do not depend on where step
-endpoints happen to fall.  Integration is deterministic: identical inputs
-produce identical trajectories on one platform.
+The 8(5,3) Dormand-Prince stepper (``scipy.integrate.DOP853``) builds the
+dense output of an accepted step only where it is read: on every step of
+a run without events, and on the step where an event changes sign.  The
+dense output costs 3 field evaluations on top of the step's 12 and does
+not steer the stepper (it fills stages the step does not read), so a run
+takes the same steps either way.  Event functions are scalar; every sign
+change is localized on the dense output of the step it falls in, so event
+times do not depend on where step endpoints happen to fall.  Integration
+is deterministic: identical inputs produce identical trajectories on one
+platform.
 """
 
 from __future__ import annotations
@@ -61,12 +65,15 @@ class EventRecord:
 
 @dataclass
 class Trajectory:
-    """Dense-output solution with event records.
+    """Step-endpoint solution with event records and dense output.
 
     ``t`` is strictly increasing in integration order (decreasing physical
     time for backward runs is stored as-is).  ``reason`` is one of
     {"time-out", "event", "escape", "step-failure"}.  ``segments`` holds
-    the dense output of each accepted step, in integration order.
+    one entry per accepted step, in integration order: the step's dense
+    output, or ``None`` where none was built (every step of an event run
+    but the one its event fires in).  ``nfev`` is the stepper's count of
+    field evaluations, dense-output stages included.
     """
 
     t: np.ndarray
@@ -74,6 +81,7 @@ class Trajectory:
     events: list[EventRecord]
     reason: str
     segments: list = field(default_factory=list, repr=False)
+    nfev: int = 0
 
     @property
     def final_state(self) -> np.ndarray:
@@ -84,14 +92,18 @@ class Trajectory:
         return float(self.t[-1])
 
     def sample(self, times) -> np.ndarray:
-        """Evaluate the dense output at given times (within the span)."""
+        """Evaluate the dense output at given times (within the span).
+
+        Raises ``ValueError`` for a time in a step whose dense output was
+        not built.
+        """
         times = np.atleast_1d(np.asarray(times, dtype=float))
         t_lo, t_hi = sorted((self.t[0], self.t[-1]))
         pad = 1e-12 * max(1.0, abs(t_lo), abs(t_hi))
         if np.any(times < t_lo - pad) or np.any(times > t_hi + pad):
             raise ValueError(f"sample times outside [{t_lo}, {t_hi}]")
         out = np.empty((times.size, self.states.shape[1]))
-        starts = np.array([seg.t_old for seg in self.segments])
+        starts = self.t[:-1]
         forward = self.t[-1] >= self.t[0]
         for i, tv in enumerate(times):
             if forward:
@@ -99,7 +111,12 @@ class Trajectory:
             else:
                 j = np.searchsorted(-starts, -tv, side="right") - 1
             j = min(max(j, 0), len(self.segments) - 1)
-            out[i] = self.segments[j](tv)
+            seg = self.segments[j]
+            if seg is None:
+                raise ValueError(
+                    f"no dense output was built for the step from "
+                    f"t = {starts[j]}, which holds t = {tv}")
+            out[i] = seg(tv)
         return out
 
 
@@ -109,9 +126,10 @@ def integrate(field, y0, t_span, opts: IntegratorOptions | None = None,
 
     ``events`` is a list of scalar functions g(t, y); each sign change is
     localized on the dense output to ``EVENT_TOL`` in time and
-    terminates the run (first event wins).  Termination also occurs on
-    ||y|| > escape_radius ("escape"), elapsed time > max_time ("time-out"),
-    or step-size underflow ("step-failure").
+    terminates the run (first event wins); with events, only the step a
+    sign change falls in builds its dense output.  Termination also occurs
+    on ||y|| > escape_radius ("escape"), elapsed time > max_time
+    ("time-out"), or step-size underflow ("step-failure").
     """
     if opts is None:
         opts = IntegratorOptions()
@@ -145,8 +163,7 @@ def integrate(field, y0, t_span, opts: IntegratorOptions | None = None,
             reason = "step-failure"
             break
         t_old, t, y = solver.t_old, solver.t, solver.y
-        seg = solver.dense_output()
-        segments.append(seg)
+        seg = None if events else solver.dense_output()
 
         hit = None
         for idx, g in enumerate(events):
@@ -156,12 +173,15 @@ def integrate(field, y0, t_span, opts: IntegratorOptions | None = None,
             if g_old == 0.0:
                 continue
             if g_old * g_new <= 0.0 and g_new != g_old:
+                if seg is None:  # before the next step overwrites the stages
+                    seg = solver.dense_output()
                 t_ev = brentq(
                     lambda tv: g(tv, seg(tv)),
                     t_old, t, xtol=EVENT_TOL, rtol=8.881784197001252e-16,
                 )
                 if hit is None or direction * t_ev < direction * hit.t:
                     hit = EventRecord(index=idx, t=t_ev, state=seg(t_ev))
+        segments.append(seg)
 
         if hit is not None:
             recorded.append(hit)
@@ -179,5 +199,5 @@ def integrate(field, y0, t_span, opts: IntegratorOptions | None = None,
 
     return Trajectory(
         t=np.array(ts), states=np.array(ys), events=recorded,
-        reason=reason, segments=segments,
+        reason=reason, segments=segments, nfev=solver.nfev,
     )

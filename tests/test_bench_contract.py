@@ -49,16 +49,23 @@ def test_tracer_proxies_expose_the_benchmark_names(tracing):
                 assert callable(getattr(proxies[layer], name, None)), \
                     (layer, name)
         # the tracer counts steps from Trajectory.segments and fallbacks
-        # from Trajectory.reason
-        tracer.begin_solve(0, "probe")
-        proxies["integrate"].integrate(lambda t, y: -y, [1.0], (0.0, 0.1))
-        tracer.end_solve()
+        # from Trajectory.reason; probe a run without events and one whose
+        # event fires, which builds no dense output before its event step
+        trajs = {}
+        for solve_id, events in enumerate((None, [lambda t, y: y[0] - 0.5])):
+            tracer.begin_solve(solve_id, "probe")
+            trajs[solve_id] = proxies["integrate"].integrate(
+                lambda t, y: -y, [1.0], (0.0, 1.0), events=events)
+            tracer.end_solve()
     finally:
         tracer.uninstall()
-    counts = tracing.layer_table(tracer.spans)[0]["counts"]
-    assert counts["integrate_calls"] == 1
-    assert counts["steps"] > 0
-    assert counts["fallback_ends"] == 0
+    assert trajs[1].reason == "event"
+    table = tracing.layer_table(tracer.spans)
+    for solve_id, traj in trajs.items():
+        counts = table[solve_id]["counts"]
+        assert counts["integrate_calls"] == 1
+        assert counts["steps"] == len(traj.t) - 1 > 0
+        assert counts["fallback_ends"] == 0
 
 
 def test_tracer_uninstall_restores_every_rebound_attribute(tracing):

@@ -5,7 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from fhnwave.integrate import IntegrationError, IntegratorOptions, integrate
+from scipy.optimize import brentq
+
+from fhnwave.integrate import (EVENT_TOL, IntegrationError, IntegratorOptions,
+                               integrate)
 
 
 def _oscillator(t, y):
@@ -43,6 +46,59 @@ def test_event_localization():
                      events=[lambda t, y: y[0]])
     assert traj.reason == "event"
     assert abs(traj.events[0].t - math.pi / 2.0) < 1e-10
+
+
+def test_dense_output_does_not_steer_the_stepper():
+    opts = IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12, max_time=50.0)
+    y0 = np.array([1.0, 0.0])
+    g = lambda t, y: y[0] - 0.5
+    plain = integrate(_oscillator, y0, (0.0, 10.0), opts)
+    fired = integrate(_oscillator, y0, (0.0, 10.0), opts, events=[g])
+    k = len(fired.t) - 2  # the step the event fires in
+    assert fired.reason == "event" and k > 0
+    for traj in (plain, fired):
+        assert len(traj.segments) == len(traj.t) - 1
+    # the same accepted steps, bit for bit, up to the event step
+    assert np.array_equal(fired.t[:-1], plain.t[:k + 1])
+    assert np.array_equal(fired.states[:-1], plain.states[:k + 1])
+    assert all(seg is None for seg in fired.segments[:k])
+    # the event is the root on the no-event run's dense output of that step
+    # (brentq's default rtol is the one integrate passes)
+    seg = plain.segments[k]
+    t_ev = brentq(lambda tv: g(tv, seg(tv)), plain.t[k], plain.t[k + 1],
+                  xtol=EVENT_TOL)
+    assert fired.events[0].t == t_ev
+    assert np.array_equal(fired.events[0].state, seg(t_ev))
+
+
+def test_event_run_builds_no_dense_output_off_the_event_step():
+    opts = IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12, max_time=50.0)
+    y0 = np.array([1.0, 0.0])
+    plain = integrate(_oscillator, y0, (0.0, 10.0), opts)
+    watched = integrate(_oscillator, y0, (0.0, 10.0), opts,
+                        events=[lambda t, y: y[0] + 2.0])  # never fires
+    assert watched.reason == plain.reason == "time-out"
+    assert np.array_equal(watched.t, plain.t)
+    assert np.array_equal(watched.states, plain.states)
+    assert len(watched.segments) == len(plain.segments) == len(plain.t) - 1
+    assert all(seg is None for seg in watched.segments)
+    # DOP853's dense output costs 3 field evaluations per step
+    assert plain.nfev - watched.nfev == 3 * len(plain.segments)
+
+
+def test_nfev_counts_every_field_evaluation():
+    calls = []
+
+    def counted(t, y):
+        calls.append(t)
+        return _oscillator(t, y)
+
+    opts = IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12, max_time=50.0)
+    for events in (None, [lambda t, y: y[0]]):
+        calls.clear()
+        traj = integrate(counted, np.array([1.0, 0.0]), (0.0, 10.0), opts,
+                         events=events)
+        assert traj.nfev == len(calls) > 0
 
 
 def test_first_event_wins():
@@ -121,3 +177,15 @@ def test_sample_outside_range_rejected():
     traj = integrate(_oscillator, np.array([1.0, 0.0]), (0.0, 1.0), opts)
     with pytest.raises(ValueError):
         traj.sample(np.array([2.0]))
+
+
+def test_sample_without_dense_output_rejected():
+    opts = IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12, max_time=50.0)
+    traj = integrate(_oscillator, np.array([1.0, 0.0]), (0.0, 10.0), opts,
+                     events=[lambda t, y: y[0]])
+    assert traj.reason == "event" and traj.segments[0] is None
+    with pytest.raises(ValueError, match="no dense output"):
+        traj.sample(0.5 * traj.t[1])
+    # the event step keeps its dense output
+    t_mid = 0.5 * (traj.t[-2] + traj.t[-1])
+    assert abs(traj.sample(t_mid)[0, 0] - math.cos(t_mid)) < 1e-8
