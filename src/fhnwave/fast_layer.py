@@ -24,14 +24,17 @@ import numpy as np
 
 from . import model, roots
 from .curves import CurveBranch
-from .integrate import IntegratorOptions, Trajectory, integrate
+from .integrate import IntegratorOptions, integrate
 from .model import DomainError, EquilibriumInfo
 
 #: Sentinel magnitude standing in for "no section crossing" gap values;
 #: signed by escape side so bracketing root solvers keep working.
 GAP_SENTINEL = 1e6
 
-_SHOT_OPTS = IntegratorOptions(rel_tol=1e-11, abs_tol=1e-13, max_time=5000.0)
+_SHOT_OPTS = IntegratorOptions(rel_tol=1e-11, abs_tol=1e-13)
+
+#: Fast-time horizon of a shot to the section.
+SHOT_TIME = 5000.0
 
 #: Layer parameter of the s = 0 double heteroclinic: the saddles share a
 #: potential level when the cubic is balanced about its inflection point
@@ -111,29 +114,16 @@ def _shoot_to_section(x0, direction_vec, pbar, s, sigma, backward,
                       offset, x_lo, x_hi):
     """Integrate from a saddle offset until the section x1 = sigma.
 
-    Returns (x2_at_crossing, trajectory) or (None, trajectory) when the
-    orbit leaves [x_lo, x_hi] or times out before crossing.
+    Returns x2 at the crossing, or None when the orbit leaves [x_lo, x_hi]
+    or times out before crossing.
     """
     y0 = np.array([x0, 0.0]) + offset * np.asarray(direction_vec)
     field = lambda t, y: model.fast_field(y, pbar, s)
-    events = [
-        lambda t, y: y[0] - sigma,
-        lambda t, y: y[0] - x_lo,
-        lambda t, y: y[0] - x_hi,
-    ]
-    t_end = _SHOT_OPTS.max_time
-    span = (0.0, -t_end) if backward else (0.0, t_end)
-    traj = integrate(field, y0, span, _SHOT_OPTS, events=events)
-    if traj.reason == "event" and traj.events[0].index == 0:
-        return float(traj.events[0].state[1]), traj
-    return None, traj
-
-
-def _failure_gap(traj: Trajectory, x_lo, x_hi) -> float:
-    """Signed sentinel for a shot that never reached the section."""
-    x1 = float(traj.final_state[0])
-    mid = 0.5 * (x_lo + x_hi)
-    return -GAP_SENTINEL if x1 < mid else GAP_SENTINEL
+    span = (0.0, -SHOT_TIME) if backward else (0.0, SHOT_TIME)
+    traj = integrate(field, y0, span, _SHOT_OPTS, levels=(sigma, x_lo, x_hi))
+    if traj.event is not None and traj.event.index == 0:
+        return float(traj.event.state[1])
+    return None
 
 
 def shoot_heteroclinic(pbar: float, s: float, offset: float = 1e-8,
@@ -144,16 +134,17 @@ def shoot_heteroclinic(pbar: float, s: float, offset: float = 1e-8,
     ``direction`` names.  Integrates forward along the unstable direction
     of the departure and backward along the stable direction of the
     arrival; returns the difference of the x2-coordinates of the first
-    crossings of the section x1 = (x_l + x_r)/2.  Escapes before crossing
-    are mapped to signed sentinels (+-GAP_SENTINEL) so callers can still
-    bracket: the side of the section where the failed shot ended, negated
-    for the backward shot.  The backward shot is not run once the forward
-    one has failed.
+    crossings of the section x1 = (x_l + x_r)/2.  A shot that leaves
+    [x_l - 0.7, x_r + 0.7] or times out before crossing never left its
+    saddle's side of the section, so it maps to a signed sentinel
+    (+-GAP_SENTINEL) that keeps callers bracketing: the saddle's side of
+    the section, negated for the backward shot.  The backward shot is not
+    run once the forward one has failed.
 
     At s = 0 the field is Hamiltonian and a separatrix of the saddle x0
     lies on H = V(x0).  Where V(sigma) > V(x0) at the section sigma it is a
-    loop that turns back before the section, so that shot is not
-    integrated: its sentinel is x0's side of the section.
+    loop that turns back before the section, so that shot fails without
+    being integrated.
 
     At a band edge (pbar = pbar_r or pbar_l) one outer equilibrium is the
     fold.  The shot may depart from it when s > 0, along the strong
@@ -187,12 +178,11 @@ def shoot_heteroclinic(pbar: float, s: float, offset: float = 1e-8,
     crossings = []
     for x0, vec, backward, sign in ((x_dep, vu, False, 1.0),
                                     (x_arr, vs, True, -1.0)):
-        if s == 0.0 and potential(sigma, pbar) > potential(x0, pbar):
-            return sign * math.copysign(GAP_SENTINEL, x0 - sigma)
-        x2, traj = _shoot_to_section(x0, vec, pbar, s, sigma, backward,
-                                     offset, x_lo, x_hi)
+        barrier = s == 0.0 and potential(sigma, pbar) > potential(x0, pbar)
+        x2 = None if barrier else _shoot_to_section(
+            x0, vec, pbar, s, sigma, backward, offset, x_lo, x_hi)
         if x2 is None:
-            return sign * _failure_gap(traj, x_lo, x_hi)
+            return sign * math.copysign(GAP_SENTINEL, x0 - sigma)
         crossings.append(x2)
     return crossings[0] - crossings[1]
 

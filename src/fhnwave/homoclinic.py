@@ -36,6 +36,10 @@ ESCAPE_X1 = 2.0
 #: Separatrix abscissa used by the time-out fallback classifier.
 _MIDDLE_X1 = 11.0 / 30.0
 
+#: Integrator settings of an escape shot, which runs for min(1e4, 100/eps).
+_ESCAPE_OPTS = IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12,
+                                 escape_radius=50.0)
+
 #: Flip brackets narrower than this are one (exponentially thin) bundle.
 BUNDLE_WIDTH = 1e-10
 
@@ -161,7 +165,11 @@ def _unstable_direction(p: float, s: float, eps: float):
     c0, c1, c2 = bifurcation.char_poly_coeffs(x1s, s, eps)
     poly = lambda lam: ((lam + c2) * lam + c1) * lam + c0
     bound = 1.0 + max(abs(c0), abs(c1), abs(c2))
-    lam = roots.refine(poly, 0.0, bound, c0, poly(bound), xtol=1e-15)[0]
+    try:
+        lam = roots.refine(poly, 0.0, bound, c0, poly(bound), xtol=1e-15)[0]
+    except DomainError as exc:  # an overflow at the bound
+        raise DomainError(f"no unstable eigenvalue of q at p={p}, s={s}, "
+                          f"eps={eps}: {exc}") from None
     b, c = c2 + lam, c1 + lam * (c2 + lam)  # deflated: x^2 + b*x + c
     if lam <= 0.0 or (b < 0.0 and b * b >= 4.0 * c):
         raise DomainError(f"expected one real unstable eigenvalue at p={p}, "
@@ -186,16 +194,12 @@ def escape_side(p: float, s: float, eps: float, offset: float = 1e-8) -> int:
         raise DomainError(f"offset must be finite and > 0, got {offset}")
     params = ModelParams(eps=eps, s=s, p=p)
     state, direction = _unstable_direction(p, s, eps)
-    max_time = min(1e4, 100.0 / eps)
-    opts = IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12,
-                             max_time=max_time, escape_radius=50.0)
-    events = [lambda t, y: y[0] - ESCAPE_X1,
-              lambda t, y: y[0] + ESCAPE_X1]
-    field = lambda t, y: model.full_field(y, params, timescale="fast")
-    traj = integrate(field, state + offset * direction, (0.0, max_time),
-                     opts, events=events)
-    if traj.reason == "event":
-        return 1 if traj.events[0].index == 0 else -1
+    field = lambda t, y: model.full_field(y, params)
+    traj = integrate(field, state + offset * direction,
+                     (0.0, min(1e4, 100.0 / eps)), _ESCAPE_OPTS,
+                     levels=(ESCAPE_X1, -ESCAPE_X1))
+    if traj.event is not None:
+        return 1 if traj.event.index == 0 else -1
     return 1 if float(traj.final_state[0]) > _MIDDLE_X1 else -1
 
 

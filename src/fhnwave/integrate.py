@@ -1,16 +1,18 @@
-"""Adaptive integration with dense output and events, on scipy's DOP853.
+"""Adaptive integration to a level of x1, on scipy's DOP853.
 
 Shared numerical engine for the shooting and manifold-tracking modules.
+A run covers ``t_span``, which is its horizon, and stops early where x1,
+the first state component, first reaches one of the given levels: a shot
+asks where x1 crosses a section or an exit abscissa, and nothing else.
 The 8(5,3) Dormand-Prince stepper (``scipy.integrate.DOP853``) builds the
 dense output of an accepted step only where it is read: on every step of
-a run without events, and on the step where an event changes sign.  The
+a run without levels, and on the step where x1 crosses a level.  The
 dense output costs 3 field evaluations on top of the step's 12 and does
 not steer the stepper (it fills stages the step does not read), so a run
-takes the same steps either way.  Event functions are scalar; every sign
-change is localized on the dense output of the step it falls in, so event
-times do not depend on where step endpoints happen to fall.  Integration
-is deterministic: identical inputs produce identical trajectories on one
-platform.
+takes the same steps either way.  A crossing is localized on the dense
+output of the step it falls in, so its time does not depend on where step
+endpoints happen to fall.  Integration is deterministic: identical inputs
+produce identical trajectories on one platform.
 """
 
 from __future__ import annotations
@@ -43,11 +45,10 @@ _STEPPER_RTOL_MIN = 100 * np.finfo(float).eps
 class IntegratorOptions:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_time: float = 1e4
     escape_radius: float = 10.0
 
     def __post_init__(self):
-        for name in ("rel_tol", "abs_tol", "max_time", "escape_radius"):
+        for name in ("rel_tol", "abs_tol", "escape_radius"):
             if not getattr(self, name) > 0.0:  # also rejects NaN
                 raise ValueError(f"{name} must be positive")
         if self.rel_tol * TOL_SCALE < _STEPPER_RTOL_MIN:
@@ -58,6 +59,8 @@ class IntegratorOptions:
 
 @dataclass
 class EventRecord:
+    """Where x1 first reached ``levels[index]``."""
+
     index: int
     t: float
     state: np.ndarray
@@ -65,20 +68,22 @@ class EventRecord:
 
 @dataclass
 class Trajectory:
-    """Step-endpoint solution with event records and dense output.
+    """Step-endpoint solution with its level crossing and dense output.
 
-    ``t`` is strictly increasing in integration order (decreasing physical
-    time for backward runs is stored as-is).  ``reason`` is one of
-    {"time-out", "event", "escape", "step-failure"}.  ``segments`` holds
-    one entry per accepted step, in integration order: the step's dense
-    output, or ``None`` where none was built (every step of an event run
-    but the one its event fires in).  ``nfev`` is the stepper's count of
-    field evaluations, dense-output stages included.
+    ``t`` is monotone in the integration direction: it decreases for a
+    backward run.  ``reason`` is one of {"time-out", "event", "escape",
+    "step-failure"}; "time-out" means the run reached the end of its span.
+    ``event`` is the level crossing that ended the run, the last entry of
+    ``t`` and ``states``, or ``None``.  ``segments`` holds one entry per
+    accepted step, in integration order: the step's dense output, or
+    ``None`` where none was built (every step of a run with levels but the
+    one its crossing falls in).  ``nfev`` is the stepper's count of field
+    evaluations, dense-output stages included.
     """
 
     t: np.ndarray
     states: np.ndarray
-    events: list[EventRecord]
+    event: EventRecord | None
     reason: str
     segments: list = field(default_factory=list, repr=False)
     nfev: int = 0
@@ -121,19 +126,18 @@ class Trajectory:
 
 
 def integrate(field, y0, t_span, opts: IntegratorOptions | None = None,
-              events=None) -> Trajectory:
+              levels=()) -> Trajectory:
     """Integrate ``y' = field(t, y)`` over ``t_span`` (backward if reversed).
 
-    ``events`` is a list of scalar functions g(t, y); each sign change is
-    localized on the dense output to ``EVENT_TOL`` in time and
-    terminates the run (first event wins); with events, only the step a
-    sign change falls in builds its dense output.  Termination also occurs
-    on ||y|| > escape_radius ("escape"), elapsed time > max_time
-    ("time-out"), or step-size underflow ("step-failure").
+    The run stops where x1 = y[0] first reaches one of ``levels``
+    ("event"): a sign change of y[0] - c is localized on the step's dense
+    output to ``EVENT_TOL`` in time, and the earliest crossing wins.  With
+    levels, only the step a crossing falls in builds its dense output.  A
+    run also stops on ||y|| > escape_radius ("escape"), at the end of
+    ``t_span`` ("time-out"), or on step-size underflow ("step-failure").
     """
     if opts is None:
         opts = IntegratorOptions()
-    events = list(events) if events else []
     t0, tf = float(t_span[0]), float(t_span[1])
     if not (np.isfinite(t0) and np.isfinite(tf)):
         raise ValueError(f"non-finite t_span ({t0}, {tf})")
@@ -144,8 +148,7 @@ def integrate(field, y0, t_span, opts: IntegratorOptions | None = None,
     y = np.asarray(y0, dtype=float).copy()
     if not np.all(np.isfinite(y)):
         raise IntegrationError("non-finite initial state")
-    t_bound = t0 + direction * min(abs(tf - t0), opts.max_time)
-    solver = DOP853(field, t0, y, t_bound, rtol=opts.rel_tol * TOL_SCALE,
+    solver = DOP853(field, t0, y, tf, rtol=opts.rel_tol * TOL_SCALE,
                     atol=opts.abs_tol * TOL_SCALE)
     if not np.all(np.isfinite(solver.f)):
         # a NaN first step would keep the stepper rejecting forever
@@ -154,39 +157,33 @@ def integrate(field, y0, t_span, opts: IntegratorOptions | None = None,
     ts = [t0]
     ys = [y]
     segments = []
-    event_values = [g(t0, y) for g in events]
-    recorded: list[EventRecord] = []
+    event = None
 
     reason = None
     while reason is None:
         if solver.step() is not None:
             reason = "step-failure"
             break
+        x_old = y[0]
         t_old, t, y = solver.t_old, solver.t, solver.y
-        seg = None if events else solver.dense_output()
+        seg = None if levels else solver.dense_output()
 
-        hit = None
-        for idx, g in enumerate(events):
-            g_new = g(t, y)
-            g_old = event_values[idx]
-            event_values[idx] = g_new
-            if g_old == 0.0:
-                continue
-            if g_old * g_new <= 0.0 and g_new != g_old:
+        for idx, c in enumerate(levels):
+            g_old, g_new = x_old - c, y[0] - c
+            if g_old != 0.0 and g_old * g_new <= 0.0 and g_new != g_old:
                 if seg is None:  # before the next step overwrites the stages
                     seg = solver.dense_output()
                 t_ev = brentq(
-                    lambda tv: g(tv, seg(tv)),
+                    lambda tv: seg(tv)[0] - c,
                     t_old, t, xtol=EVENT_TOL, rtol=8.881784197001252e-16,
                 )
-                if hit is None or direction * t_ev < direction * hit.t:
-                    hit = EventRecord(index=idx, t=t_ev, state=seg(t_ev))
+                if event is None or direction * t_ev < direction * event.t:
+                    event = EventRecord(index=idx, t=t_ev, state=seg(t_ev))
         segments.append(seg)
 
-        if hit is not None:
-            recorded.append(hit)
-            ts.append(hit.t)
-            ys.append(hit.state)
+        if event is not None:
+            ts.append(event.t)
+            ys.append(event.state)
             reason = "event"
             break
 
@@ -198,6 +195,6 @@ def integrate(field, y0, t_span, opts: IntegratorOptions | None = None,
             reason = "time-out"
 
     return Trajectory(
-        t=np.array(ts), states=np.array(ys), events=recorded,
+        t=np.array(ts), states=np.array(ys), event=event,
         reason=reason, segments=segments, nfev=solver.nfev,
     )

@@ -152,29 +152,19 @@ def _finite_state(state) -> tuple[float, float, float]:
     return x1, x2, y
 
 
-def full_field(state, params: ModelParams, timescale: str = "fast") -> np.ndarray:
-    """Right-hand side of the three-dimensional wave ODE.
-
-    The fast-time form is (x2, (s*x2 - f(x1) + y - p)/5, eps*(x1 - y)/s);
-    the slow-time form is the same divided by eps (requires eps > 0).
-    """
+def full_field(state, params: ModelParams) -> np.ndarray:
+    """Right-hand side of the three-dimensional wave ODE in fast time,
+    (x2, (s*x2 - f(x1) + y - p)/5, eps*(x1 - y)/s)."""
     x1, x2, y = _finite_state(state)
     if params.s == 0.0:
         raise DomainError("wave-speed division: s = 0")
-    rate = np.array(
+    return np.array(
         [
             x2,
             0.2 * (params.s * x2 - cubic(x1) + y - params.p),
             (params.eps / params.s) * (x1 - y),
         ]
     )
-    if timescale == "fast":
-        return rate
-    if timescale == "slow":
-        if params.eps <= 0.0:
-            raise DomainError("slow time scale requires eps > 0")
-        return rate / params.eps
-    raise ValueError(f"unknown timescale {timescale!r}")
 
 
 def full_jacobian(state, params: ModelParams) -> np.ndarray:

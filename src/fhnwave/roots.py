@@ -3,6 +3,7 @@
 A cell is (lo, hi, f_lo, f_hi): ``scan`` returns the sign-change cells of
 a grid and ``refine`` shrinks one without evaluating its ends again."""
 
+import math
 import sys
 
 from scipy.optimize import brentq
@@ -21,7 +22,8 @@ def scan(f, grid) -> list[tuple[float, float, float, float]]:
 
 def refine(f, lo: float, hi: float, f_lo: float, f_hi: float, xtol: float,
            rtol: float = 4.0 * sys.float_info.epsilon):
-    """Shrink the cell (lo, hi, f_lo, f_hi); f is never called at its ends.
+    """Shrink the cell (lo, hi, f_lo, f_hi); f is never called at its ends,
+    whose values must be finite and of opposite signs (or zero).
 
     -1/+1 ends are a classifier's sides: bisect until the cell is at most
     ``xtol`` wide or no float lies between its ends, and return that cell.
@@ -30,6 +32,8 @@ def refine(f, lo: float, hi: float, f_lo: float, f_hi: float, xtol: float,
     """
     if not f_lo * f_hi <= 0.0:  # also rejects NaN
         raise DomainError(f"no sign change on [{lo}, {hi}]: {f_lo}, {f_hi}")
+    if math.isinf(f_lo) or math.isinf(f_hi):  # brentq cannot converge
+        raise DomainError(f"infinite end value on [{lo}, {hi}]: {f_lo}, {f_hi}")
     if (f_lo, f_hi) in ((-1, 1), (1, -1)):
         mid = 0.5 * (lo + hi)
         while hi - lo > xtol and lo < mid < hi:  # stop at the float limit

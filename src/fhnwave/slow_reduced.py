@@ -49,8 +49,11 @@ def reduced_hopf_values(eps: float) -> tuple[float, float]:
     """
     if not 0.0 <= eps < math.inf:  # also rejects NaN
         raise DomainError(f"eps must be finite and >= 0, got {eps}")
-    disc = (11728171.0 / 182250000.0 - 359.0 * eps / 1350.0
-            + 509.0 * eps**2 / 2700.0 - eps**3 / 27.0)
+    try:
+        disc = (11728171.0 / 182250000.0 - 359.0 * eps / 1350.0
+                + 509.0 * eps**2 / 2700.0 - eps**3 / 27.0)
+    except OverflowError:
+        raise DomainError(f"Hopf discriminant overflows at eps={eps}") from None
     if disc < 0.0:
         raise DomainError(f"negative Hopf discriminant at eps={eps}")
     mid = 2057.0 / 6750.0
@@ -181,11 +184,12 @@ def simulate_reduced(p: float, s: float, eps: float, variant: str = "eq18",
     x1s = model.equilibrium_x1(p)
     z0 = (np.array([x1s + 0.01, x1s]) if variant == "eq17"
           else np.array([x1s + 0.01, 0.0]))
-    opts = IntegratorOptions(rel_tol=1e-9, abs_tol=1e-11, max_time=2.0 * t_end,
-                             escape_radius=50.0)
+    opts = IntegratorOptions(rel_tol=1e-9, abs_tol=1e-11, escape_radius=50.0)
     traj = integrate(_reduced_field(p, s, eps, variant), z0, (0.0, t_end), opts)
-    if traj.reason == "escape":
-        raise DomainError("reduced orbit escaped: reduction invalid there")
+    if traj.reason != "time-out":  # an escape: the reduction is invalid there
+        raise DomainError(f"reduced orbit at p={p}, s={s}, eps={eps} ended in "
+                          f"{traj.reason} at t={traj.final_time:.6g} < "
+                          f"t_end={t_end}")
 
     t_hi = traj.final_time
     t_lo = t_hi * (1.0 - SUMMARY_WINDOW)

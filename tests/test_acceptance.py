@@ -263,7 +263,7 @@ def test_criterion_15_structural_properties():
     pbar = fast_layer.PBAR_STAR
     x_l, _, _ = model.fast_equilibria_x1(pbar)
     vu, _ = fast_layer.saddle_eigendirections(x_l, 0.0, toward=1.0)
-    opts = IntegratorOptions(rel_tol=1e-11, abs_tol=1e-13, max_time=80.0)
+    opts = IntegratorOptions(rel_tol=1e-11, abs_tol=1e-13)
     traj = integrate(lambda t, y: model.fast_field(y, pbar, 0.0),
                      np.array([x_l, 0.0]) + 1e-8 * vu, (0.0, 80.0), opts)
     levels = np.array([fast_layer.hamiltonian(st, pbar)

@@ -49,13 +49,13 @@ def test_tracer_proxies_expose_the_benchmark_names(tracing):
                 assert callable(getattr(proxies[layer], name, None)), \
                     (layer, name)
         # the tracer counts steps from Trajectory.segments and fallbacks
-        # from Trajectory.reason; probe a run without events and one whose
-        # event fires, which builds no dense output before its event step
+        # from Trajectory.reason; probe a run without levels and one whose
+        # level is reached, which builds no dense output before that step
         trajs = {}
-        for solve_id, events in enumerate((None, [lambda t, y: y[0] - 0.5])):
+        for solve_id, levels in enumerate(((), (0.5,))):
             tracer.begin_solve(solve_id, "probe")
             trajs[solve_id] = proxies["integrate"].integrate(
-                lambda t, y: -y, [1.0], (0.0, 1.0), events=events)
+                lambda t, y: -y, [1.0], (0.0, 1.0), levels=levels)
             tracer.end_solve()
     finally:
         tracer.uninstall()

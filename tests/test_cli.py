@@ -151,6 +151,17 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
          "abs_tol"),
         (["canard-stability", "--n", "3", "--abs-tol", "inf"], "DomainError",
          "abs_tol"),
+        # a step failure on the first step once died in Trajectory.sample
+        (["reduced-orbit", "--p", "1e200", "--s", "1.37", "--eps", "0.01"],
+         "DomainError", "p"),
+        # an overflowing characteristic polynomial once made brentq fail to
+        # converge (RuntimeError)
+        (["c-curve", "--eps", "0.01", "--p", "1e200"], "DomainError", "p"),
+        (["c-curve", "--eps", "1e200", "--p", "0.05"], "DomainError", "eps"),
+        (["c-curve", "--eps", "0.01", "--p", "0.05", "--s-lo", "1e-300",
+          "--s-hi", "1e300"], "DomainError", "s"),
+        # eps**2 once raised OverflowError
+        (["canard", "--eps", "1e200"], "DomainError", "eps"),
     ]
     for argv, error, name in cases:
         code = run(argv, tmp_path)

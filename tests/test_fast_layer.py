@@ -1,5 +1,7 @@
 """Tests for the layer-problem heteroclinic machinery."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -36,7 +38,7 @@ def test_hamiltonian_conserved_along_layer_orbit():
     x_l, _, _ = model.fast_equilibria_x1(pbar)
     vu, _ = fast_layer.saddle_eigendirections(x_l, 0.0, toward=1.0)
     y0 = np.array([x_l, 0.0]) + 1e-8 * vu
-    opts = IntegratorOptions(rel_tol=1e-11, abs_tol=1e-13, max_time=60.0)
+    opts = IntegratorOptions(rel_tol=1e-11, abs_tol=1e-13)
     traj = integrate(lambda t, y: model.fast_field(y, pbar, 0.0), y0,
                      (0.0, 60.0), opts)
     levels = np.array([fast_layer.hamiltonian(st, pbar)
@@ -159,12 +161,13 @@ def test_fold_shot_domain_errors():
 
 
 def _counting_integrate(monkeypatch):
+    """The list of trajectories ``fast_layer.integrate`` returns from now on."""
     calls = []
     real = fast_layer.integrate
 
     def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+        calls.append(real(*args, **kwargs))
+        return calls[-1]
 
     monkeypatch.setattr(fast_layer, "integrate", counted)
     return calls
@@ -182,17 +185,18 @@ def test_s0_energy_barrier_matches_timed_out_shot(monkeypatch, p, direction):
     x_dep, x_arr = (x_l, x_r) if direction == "left-to-right" else (x_r, x_l)
     vu, _ = fast_layer.saddle_eigendirections(x_dep, 0.0, toward=x_arr)
     _, vs = fast_layer.saddle_eigendirections(x_arr, 0.0, toward=x_dep)
+    calls = _counting_integrate(monkeypatch)
     shots = [fast_layer._shoot_to_section(x0, vec, pbar, 0.0, sigma, back,
                                           1e-8, x_lo, x_hi)
              for x0, vec, back in ((x_dep, vu, False), (x_arr, vs, True))]
-    blocked = [i for i, (x2, _) in enumerate(shots) if x2 is None]
+    blocked = [i for i, x2 in enumerate(shots) if x2 is None]
     assert len(blocked) == 1  # the shot from the left saddle
-    traj = shots[blocked[0]][1]
+    traj = calls[blocked[0]]
     assert traj.reason == "time-out"
     side = np.sign(traj.final_state[0] - sigma)
     want = side * fast_layer.GAP_SENTINEL * (1 if blocked[0] == 0 else -1)
 
-    calls = _counting_integrate(monkeypatch)
+    calls.clear()
     assert fast_layer.shoot_heteroclinic(pbar, 0.0,
                                          direction=direction) == want
     # only a departure that crosses is integrated
@@ -206,6 +210,39 @@ def test_no_backward_shot_after_forward_failure(monkeypatch):
     assert fast_layer.shoot_heteroclinic(pbar, 0.05) == \
         -fast_layer.GAP_SENTINEL
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(("pbar", "s", "direction", "failed", "end"), [
+    (-0.004, 0.6, "left-to-right", 0, "x_lo"),
+    (-0.12, 0.4, "right-to-left", 0, "x_hi"),
+    # the arrival shots run backward into the middle equilibrium
+    (-0.1, 1.5, "left-to-right", 1, "time-out"),
+    (-0.02, 1.0, "right-to-left", 1, "time-out"),
+])
+def test_failed_shot_gap_is_its_saddles_side(monkeypatch, pbar, s, direction,
+                                             failed, end):
+    # oracle: the side of the section where the integrated shot ended,
+    # negated for the backward (arrival) shot
+    x_l, *_, x_r = model.fast_equilibria_x1(pbar)
+    sigma = 0.5 * (x_l + x_r)
+    calls = _counting_integrate(monkeypatch)
+    gap = fast_layer.shoot_heteroclinic(pbar, s, direction=direction)
+    assert len(calls) == failed + 1  # the failed shot is the last one run
+    traj = calls[-1]
+    if end == "time-out":
+        assert traj.reason == "time-out"
+    else:
+        assert traj.reason == "event"
+        exit_x1 = x_l - 0.7 if end == "x_lo" else x_r + 0.7
+        assert traj.final_state[0] == pytest.approx(exit_x1, abs=1e-9)
+    side = math.copysign(fast_layer.GAP_SENTINEL,
+                         traj.final_state[0] - sigma)
+    assert gap == (side if failed == 0 else -side)
+    # involution: the other direction at the mirrored pbar, same speed
+    mirrored = {"left-to-right": "right-to-left",
+                "right-to-left": "left-to-right"}[direction]
+    assert fast_layer.shoot_heteroclinic(model.PBAR_L + model.PBAR_R - pbar,
+                                         s, direction=mirrored) == -gap
 
 
 def test_find_het_shoots_each_argument_once(monkeypatch):

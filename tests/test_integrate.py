@@ -16,21 +16,21 @@ def _oscillator(t, y):
 
 
 def test_harmonic_oscillator_accuracy():
-    opts = IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12, max_time=100.0)
+    opts = IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12)
     traj = integrate(_oscillator, np.array([1.0, 0.0]), (0.0, 10.0), opts)
     exact = np.array([math.cos(10.0), -math.sin(10.0)])
     assert np.max(np.abs(traj.final_state - exact)) < 1e-8
 
 
 def test_energy_drift_small():
-    opts = IntegratorOptions(rel_tol=1e-11, abs_tol=1e-13, max_time=300.0)
+    opts = IntegratorOptions(rel_tol=1e-11, abs_tol=1e-13)
     traj = integrate(_oscillator, np.array([1.0, 0.0]), (0.0, 200.0), opts)
     energy = 0.5 * (traj.states[:, 0] ** 2 + traj.states[:, 1] ** 2)
     assert np.max(np.abs(energy - 0.5)) < 1e-9
 
 
 def test_dense_output_matches_exact_solution():
-    opts = IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12, max_time=50.0)
+    opts = IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12)
     # forward, and backward: the only run whose segment starts decrease
     for sign in (1.0, -1.0):
         traj = integrate(_oscillator, np.array([1.0, 0.0]), (0.0, sign * 6.0),
@@ -41,19 +41,19 @@ def test_dense_output_matches_exact_solution():
 
 
 def test_event_localization():
-    opts = IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12, max_time=50.0)
+    opts = IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12)
     traj = integrate(_oscillator, np.array([1.0, 0.0]), (0.0, 10.0), opts,
-                     events=[lambda t, y: y[0]])
+                     levels=(0.0,))
     assert traj.reason == "event"
-    assert abs(traj.events[0].t - math.pi / 2.0) < 1e-10
+    assert abs(traj.event.t - math.pi / 2.0) < 1e-10
 
 
 def test_dense_output_does_not_steer_the_stepper():
-    opts = IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12, max_time=50.0)
+    opts = IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12)
     y0 = np.array([1.0, 0.0])
     g = lambda t, y: y[0] - 0.5
     plain = integrate(_oscillator, y0, (0.0, 10.0), opts)
-    fired = integrate(_oscillator, y0, (0.0, 10.0), opts, events=[g])
+    fired = integrate(_oscillator, y0, (0.0, 10.0), opts, levels=(0.5,))
     k = len(fired.t) - 2  # the step the event fires in
     assert fired.reason == "event" and k > 0
     for traj in (plain, fired):
@@ -67,16 +67,16 @@ def test_dense_output_does_not_steer_the_stepper():
     seg = plain.segments[k]
     t_ev = brentq(lambda tv: g(tv, seg(tv)), plain.t[k], plain.t[k + 1],
                   xtol=EVENT_TOL)
-    assert fired.events[0].t == t_ev
-    assert np.array_equal(fired.events[0].state, seg(t_ev))
+    assert fired.event.t == t_ev
+    assert np.array_equal(fired.event.state, seg(t_ev))
 
 
 def test_event_run_builds_no_dense_output_off_the_event_step():
-    opts = IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12, max_time=50.0)
+    opts = IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12)
     y0 = np.array([1.0, 0.0])
     plain = integrate(_oscillator, y0, (0.0, 10.0), opts)
     watched = integrate(_oscillator, y0, (0.0, 10.0), opts,
-                        events=[lambda t, y: y[0] + 2.0])  # never fires
+                        levels=(-2.0,))  # never reached
     assert watched.reason == plain.reason == "time-out"
     assert np.array_equal(watched.t, plain.t)
     assert np.array_equal(watched.states, plain.states)
@@ -93,25 +93,24 @@ def test_nfev_counts_every_field_evaluation():
         calls.append(t)
         return _oscillator(t, y)
 
-    opts = IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12, max_time=50.0)
-    for events in (None, [lambda t, y: y[0]]):
+    opts = IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12)
+    for levels in ((), (0.0,)):
         calls.clear()
         traj = integrate(counted, np.array([1.0, 0.0]), (0.0, 10.0), opts,
-                         events=events)
+                         levels=levels)
         assert traj.nfev == len(calls) > 0
 
 
 def test_first_event_wins():
-    opts = IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12, max_time=50.0)
+    opts = IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12)
     traj = integrate(_oscillator, np.array([1.0, 0.0]), (0.0, 10.0), opts,
-                     events=[lambda t, y: y[0] + 2.0,   # never fires
-                             lambda t, y: y[0] - 0.5])
-    assert traj.events[0].index == 1
-    assert abs(traj.events[0].t - math.pi / 3.0) < 1e-10
+                     levels=(-2.0, 0.5))  # -2 is never reached
+    assert traj.event.index == 1
+    assert abs(traj.event.t - math.pi / 3.0) < 1e-10
 
 
 def test_backward_integration():
-    opts = IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12, max_time=50.0)
+    opts = IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12)
     traj = integrate(_oscillator, np.array([1.0, 0.0]), (0.0, -3.0), opts)
     assert abs(traj.final_time + 3.0) < 1e-12
     assert abs(traj.final_state[0] - math.cos(3.0)) < 1e-8
@@ -119,32 +118,29 @@ def test_backward_integration():
 
 def test_escape_termination():
     field = lambda t, y: np.array([y[0]])  # exponential blow-up
-    opts = IntegratorOptions(rel_tol=1e-9, abs_tol=1e-11, max_time=100.0,
-                             escape_radius=5.0)
+    opts = IntegratorOptions(rel_tol=1e-9, abs_tol=1e-11, escape_radius=5.0)
     traj = integrate(field, np.array([1.0]), (0.0, 100.0), opts)
     assert traj.reason == "escape"
     assert abs(traj.final_state[0]) >= 5.0
 
 
 def test_timeout_reason():
-    opts = IntegratorOptions(rel_tol=1e-9, abs_tol=1e-11, max_time=1.0)
-    traj = integrate(_oscillator, np.array([1.0, 0.0]), (0.0, 10.0), opts)
+    opts = IntegratorOptions(rel_tol=1e-9, abs_tol=1e-11)
+    traj = integrate(_oscillator, np.array([1.0, 0.0]), (0.0, 1.0), opts)
     assert traj.reason == "time-out"
 
 
 def test_stiffness_failure_raises_or_flags():
     # a field whose derivative explodes in finite time
     field = lambda t, y: np.array([1.0 + y[0] ** 2])
-    opts = IntegratorOptions(rel_tol=1e-9, abs_tol=1e-11, max_time=10.0,
-                             escape_radius=1e6)
+    opts = IntegratorOptions(rel_tol=1e-9, abs_tol=1e-11, escape_radius=1e6)
     traj = integrate(field, np.array([0.0]), (0.0, 10.0), opts)
     assert traj.reason in ("escape", "step-failure")
 
 
 def test_classify_escape():
     field = lambda t, y: np.array([-1.0, 0.0])
-    opts = IntegratorOptions(rel_tol=1e-9, abs_tol=1e-11, max_time=100.0,
-                             escape_radius=4.0)
+    opts = IntegratorOptions(rel_tol=1e-9, abs_tol=1e-11, escape_radius=4.0)
     traj = integrate(field, np.array([0.0, 0.0]), (0.0, 100.0), opts)
     assert traj.reason == "escape"
     assert traj.final_state[0] < -2.0
@@ -156,7 +152,7 @@ def test_options_validation():
     with pytest.raises((ValueError, IntegrationError)):
         IntegratorOptions(abs_tol=0.0)
     # NaN fails every comparison; accepted, it makes integrate() loop forever
-    for name in ("rel_tol", "abs_tol", "max_time", "escape_radius"):
+    for name in ("rel_tol", "abs_tol", "escape_radius"):
         with pytest.raises(ValueError):
             IntegratorOptions(**{name: float("nan")})
     for span in ((0.0, float("nan")), (0.0, float("inf")),
@@ -173,16 +169,16 @@ def test_nonfinite_initial_field_raises():
 
 
 def test_sample_outside_range_rejected():
-    opts = IntegratorOptions(rel_tol=1e-9, abs_tol=1e-11, max_time=10.0)
+    opts = IntegratorOptions(rel_tol=1e-9, abs_tol=1e-11)
     traj = integrate(_oscillator, np.array([1.0, 0.0]), (0.0, 1.0), opts)
     with pytest.raises(ValueError):
         traj.sample(np.array([2.0]))
 
 
 def test_sample_without_dense_output_rejected():
-    opts = IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12, max_time=50.0)
+    opts = IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12)
     traj = integrate(_oscillator, np.array([1.0, 0.0]), (0.0, 10.0), opts,
-                     events=[lambda t, y: y[0]])
+                     levels=(0.0,))
     assert traj.reason == "event" and traj.segments[0] is None
     with pytest.raises(ValueError, match="no dense output"):
         traj.sample(0.5 * traj.t[1])

@@ -55,14 +55,6 @@ def test_full_field_vanishes_at_equilibrium():
         assert np.max(np.abs(f)) < 1e-13
 
 
-def test_full_field_timescales_agree():
-    params = ModelParams(0.05, 1.1, 0.01)
-    state = np.array([0.2, -0.1, 0.15])
-    fast = model.full_field(state, params, timescale="fast")
-    slow = model.full_field(state, params, timescale="slow")
-    assert np.allclose(fast, params.eps * slow, rtol=1e-14)
-
-
 def test_full_jacobian_matches_finite_differences():
     params = ModelParams(0.1, 0.8, 0.02)
     state = np.array([0.3, 0.05, 0.2])
@@ -190,8 +182,6 @@ def test_full_field_bit_identical_to_array_formula():
             fast = model.full_field(given, params)
             assert fast.dtype == np.float64
             assert fast.tobytes() == expected.tobytes()
-            slow = model.full_field(given, params, timescale="slow")
-            assert slow.tobytes() == (expected / params.eps).tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

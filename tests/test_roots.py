@@ -92,3 +92,12 @@ def test_refine_rejects_ends_without_sign_change(ends):
     with pytest.raises(DomainError, match="no sign change"):
         roots.refine(f, 0.0, 1.0, *ends, xtol=1e-12)
     assert calls == []
+
+
+@pytest.mark.parametrize("ends", [(-3.0, math.inf), (-math.inf, 2.0)])
+def test_refine_rejects_infinite_ends(ends):
+    # brentq on an infinite end value fails to converge with a RuntimeError
+    f, calls = _recorded(lambda x: x)
+    with pytest.raises(DomainError, match="infinite end value"):
+        roots.refine(f, 0.0, 1.0, *ends, xtol=1e-12)
+    assert calls == []
