@@ -21,7 +21,8 @@ import numpy as np
 
 from . import bifurcation, model, roots, slow_reduced
 from .curves import CurveBranch
-from .fast_layer import EDGE_MARGIN, PBAR_STAR, HetConnection, find_het
+from .fast_layer import (EDGE_MARGIN, PBAR_STAR, HetConnection, find_het,
+                         shoot_heteroclinic)
 from .integrate import IntegratorOptions, integrate
 from .model import DomainError, ModelParams
 
@@ -148,11 +149,26 @@ def return_height_at(p: float, s: float) -> float:
     """Return offset v whose right-to-left connection runs at speed s.
 
     The right-to-left connection at speed s fixes a unique layer parameter
-    pbar; the height offset follows from p - x1*(p) - v = pbar.
+    pbar; the height offset follows from p - x1*(p) - v = pbar.  Its pbar
+    falls toward the band edge PBAR_L as s grows; within ``EDGE_MARGIN`` of
+    it (on the speed of AC, once p_- - p is below about 1e-3) it raises a
+    ``DomainError`` that says so.
     """
     scan = (model.PBAR_L + EDGE_MARGIN, PBAR_STAR - 1e-9)
-    conn = find_het(direction="right-to-left", s=s, scan=scan,
-                    gap_tol=GAP_TOL)
+    try:
+        conn = find_het(direction="right-to-left", s=s, scan=scan,
+                        gap_tol=GAP_TOL)
+    except DomainError:
+        # the gap falls through zero in pbar; negative already at the scan's
+        # band-edge end, it has its root beyond that end
+        gap = shoot_heteroclinic(scan[0], s, direction="right-to-left")
+        if gap < 0.0:
+            raise DomainError(
+                f"no return height at p={p}, s={s}: the right-to-left "
+                f"connection lies within EDGE_MARGIN={EDGE_MARGIN:g} of the "
+                f"band edge PBAR_L={model.PBAR_L:.6g}, or past it (gap "
+                f"{gap:.3g} at pbar={scan[0]:.6g})") from None
+        raise
     return equilibrium_pbar(p) - conn.pbar
 
 

@@ -9,10 +9,12 @@ fails to put back, breaks the benchmark; these tests make it break here.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fhnwave
 import fhnwave.cli  # noqa: F401  (imports every layer, as the benchmark does)
+from fhnwave.integrate import integrate
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -87,3 +89,18 @@ def test_tracer_uninstall_restores_every_rebound_attribute(tracing):
         assert after[layer].keys() == attrs.keys(), layer
         for name, obj in attrs.items():
             assert after[layer][name] is obj, (layer, name)
+
+
+def test_bench_setup_probe_passes_the_field_an_ndarray():
+    # bench/run.py's setup probe and bench/child.py's warm-up make this
+    # exact call; -y needs an ndarray (it fails on a list or tuple)
+    seen = []
+
+    def field(t, y):
+        seen.append(type(y))
+        return -y
+
+    traj = integrate(field, [1.0], (0.0, 0.1))
+    assert traj.reason == "time-out"
+    assert seen and all(kind is np.ndarray for kind in seen)
+    assert integrate(lambda t, y: -y, [1.0], (0.0, 0.1)).reason == "time-out"

@@ -60,6 +60,17 @@ def test_return_curves_ordered_by_height():
     assert heights[0] < heights[1] < heights[2]
 
 
+@pytest.mark.parametrize("dp", [1e-3, 1e-4])
+def test_return_height_names_the_band_edge(dp):
+    # on the speed of AC just below p_-, the right-to-left connection lies
+    # within EDGE_MARGIN of PBAR_L, where the scan cannot bracket it
+    p = model.P_MINUS - dp
+    s = homoclinic.upper_connection(p).s
+    with pytest.raises(DomainError, match="band edge PBAR_L") as info:
+        homoclinic.return_height_at(p, s)
+    assert f"p={p}" in str(info.value) and f"s={s}" in str(info.value)
+
+
 def test_escape_side_deterministic():
     sides = {homoclinic.escape_side(0.05, 0.5, 0.01) for _ in range(3)}
     assert sides == {1}

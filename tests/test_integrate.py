@@ -185,3 +185,71 @@ def test_sample_without_dense_output_rejected():
     # the event step keeps its dense output
     t_mid = 0.5 * (traj.t[-2] + traj.t[-1])
     assert abs(traj.sample(t_mid)[0, 0] - math.cos(t_mid)) < 1e-8
+
+
+def test_initial_state_outside_escape_radius_calls_no_field():
+    def field(t, y):
+        raise AssertionError("the field was called")
+
+    opts = IntegratorOptions(escape_radius=5.0)
+    traj = integrate(field, np.array([3.0, 4.5]), (0.0, 1.0), opts,
+                     levels=(0.0,))
+    assert traj.reason == "escape" and traj.event is None
+    assert traj.t.tolist() == [0.0]
+    assert traj.states.tolist() == [[3.0, 4.5]]
+    assert traj.segments == [] and traj.nfev == 0
+
+
+def _budgeted(field, budget=10**5):
+    """``field`` that raises after ``budget`` calls, so that a stepper
+    which never ends fails the test instead of stalling the suite."""
+    calls = 0
+
+    def counted(t, y):
+        nonlocal calls
+        calls += 1
+        if calls > budget:
+            raise RuntimeError(f"{budget} field calls: the run does not end")
+        return field(t, y)
+
+    return counted
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_field_turning_nonfinite_mid_run_ends(bad):
+    # the oscillator until t = 1, then a non-finite value: every step that
+    # reaches past t = 1 has a NaN or infinite error norm and is rejected
+    # (by the factor 0.2, so NaN must not win the controller's max)
+    def field(t, y):
+        return _oscillator(t, y) if t <= 1.0 else np.array([bad, y[0]])
+
+    traj = integrate(_budgeted(field), np.array([1.0, 0.0]), (0.0, 10.0))
+    assert traj.reason in ("step-failure", "escape")
+    assert 0.0 < traj.final_time <= 1.0
+    assert np.all(np.isfinite(traj.states))
+
+
+def test_field_overflowing_when_squared_ends():
+    # finite values whose squares (in the initial-step rule and the error
+    # norm) overflow: a float ** raises there, a product gives inf
+    field = lambda t, y: np.array([1e200, -1e200])
+    traj = integrate(_budgeted(field), np.array([1.0, 0.0]), (0.0, 10.0))
+    assert traj.reason in ("step-failure", "escape")
+    assert np.all(np.isfinite(traj.states))
+
+
+def test_underflowing_abs_tol_rejected():
+    # the stepper's abs_tol (a tenth) would be 0, and the error scale with it
+    with pytest.raises(ValueError, match="abs_tol"):
+        IntegratorOptions(abs_tol=5e-324)
+
+
+def test_shape_mismatches_rejected():
+    # the kernel zips state and field components: a short field would
+    # silently drop a component
+    with pytest.raises(ValueError, match="components"):
+        integrate(lambda t, y: np.array([y[1]]), np.array([1.0, 0.0]),
+                  (0.0, 1.0))
+    for y0 in (np.ones((2, 2)), 1.0, []):
+        with pytest.raises(ValueError, match="y0"):
+            integrate(_oscillator, y0, (0.0, 1.0))

@@ -6,6 +6,11 @@ the oracle is scipy's implicit Radau IIA method with the analytic Jacobian
 at tight tolerance.  Only the starting points (equilibria and
 eigenvectors) come from the package.
 
+Stepper: the package's DOP853 kernel against ``scipy.integrate.DOP853``,
+the same method in numpy: the tableau constant by constant, and escape,
+layer and reduced runs at the same tolerances, stepped by scipy's class
+under the same level and escape rules.
+
 Hopf algebra: the package evaluates the characteristic polynomial and the
 first Lyapunov coefficient in closed form; the oracles are numpy's
 ``poly`` and the projection formula evaluated with LAPACK eigenvectors and
@@ -19,13 +24,18 @@ defining equations.  The integrated s = 0 section gap against energy
 conservation, H = x2^2/2 + V(x1), with V written out here.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
+from scipy.integrate._ivp import dop853_coefficients
 from scipy.optimize import brentq
 
-from fhnwave import bifurcation, fast_layer, homoclinic, model
+from fhnwave import bifurcation, fast_layer, homoclinic, model, slow_reduced
+from fhnwave import integrate as integrator
+from fhnwave.integrate import EVENT_TOL, TOL_SCALE, integrate
 from fhnwave.model import DomainError, ModelParams
 
 
@@ -228,3 +238,156 @@ def test_s0_gap_matches_energy_conservation(p):
     want = (np.sqrt(2 * (potential(x_l) - potential(sigma)))
             - np.sqrt(2 * (potential(x_r) - potential(sigma))))
     assert abs(fast_layer.shoot_heteroclinic(pbar, 0.0) - want) < 1e-9
+
+
+def test_dop853_tableau_is_scipys():
+    # the kernel's constants Ai_j, Bj, Ci, E3_j, E5_j and Dr_j are numbered
+    # by stage from 1 (D by dense-output row 4..7); unnamed entries are zero
+    A, D = np.zeros((16, 16)), np.zeros((4, 16))
+    B, C, E3, E5 = np.zeros(12), np.zeros(16), np.zeros(13), np.zeros(13)
+    named = 0
+    for name, value in vars(integrator).items():
+        m = re.fullmatch(r"(A|D|B|C|E3_|E5_)(\d+)(?:_(\d+))?", name)
+        if m is None:
+            continue
+        kind, i, j = m[1], int(m[2]) - 1, m[3] and int(m[3]) - 1
+        assert isinstance(value, float) and value != 0.0, name
+        assert (j is None) == (kind not in ("A", "D")), name
+        table = {"A": A, "D": D, "B": B, "C": C, "E3_": E3, "E5_": E5}[kind]
+        if kind == "D":
+            table[i - 3, j] = value
+        elif kind == "A":
+            table[i, j] = value
+        else:
+            table[i] = value
+        named += 1
+    A[12, :12] = B  # stage 13 is the field at y_new = y + h (B k)
+    C[12] = 1.0  # ... evaluated at the step's end, t + h
+    dc = dop853_coefficients
+    assert named == 160
+    assert np.array_equal(A, dc.A)
+    assert np.array_equal(B, dc.B)
+    assert np.array_equal(C, dc.C)
+    assert np.array_equal(E3, dc.E3)
+    assert np.array_equal(E5, dc.E5)
+    assert np.array_equal(D, dc.D)
+
+
+def _scipy_run(field, y0, t_span, opts, levels=()):
+    """The run ``integrate`` makes, stepped by ``scipy.integrate.DOP853``.
+
+    Same stepper tolerances; the earliest level crossing of a step is
+    localized by brentq on scipy's dense output of that step, and the
+    escape radius is checked at step ends.  Returns (reason, level index
+    or None, end time, end state, accepted steps).
+    """
+    t0, tf = t_span
+    direction = 1.0 if tf > t0 else -1.0
+    solver = DOP853(field, t0, np.asarray(y0, dtype=float), tf,
+                    rtol=opts.rel_tol * TOL_SCALE,
+                    atol=opts.abs_tol * TOL_SCALE)
+    steps = 0
+    while True:
+        if solver.step() is not None:
+            return "step-failure", None, solver.t, solver.y, steps
+        steps += 1
+        crossings = []
+        for idx, c in enumerate(levels):
+            g_old, g_new = solver.y_old[0] - c, solver.y[0] - c
+            if g_old != 0.0 and g_old * g_new <= 0.0 and g_new != g_old:
+                seg = solver.dense_output()
+                t_ev = brentq(lambda tv: seg(tv)[0] - c, solver.t_old,
+                              solver.t, xtol=EVENT_TOL,
+                              rtol=8.881784197001252e-16)
+                crossings.append((direction * t_ev, idx, t_ev, seg(t_ev)))
+        if crossings:
+            _, idx, t_ev, state = min(crossings, key=lambda c: c[0])
+            return "event", idx, t_ev, state, steps
+        if np.linalg.norm(solver.y) > opts.escape_radius:
+            return "escape", None, solver.t, solver.y, steps
+        if solver.status == "finished":
+            return "time-out", None, solver.t, solver.y, steps
+
+
+#: Unit roundoff.  scipy sums each stage with BLAS, in its own order, and
+#: the kernel in stage order, so the two round apart.
+_U = 2.0 ** -53
+
+
+def _assert_shot_matches_scipy(field, y0, span, opts, levels, lam, steps):
+    """A shot launched ``1e-8`` along an unstable direction with rate lam.
+
+    While the shot is within about 1e-8 of its saddle, its error estimate
+    is a difference of nearly equal stages and so mostly rounding: the two
+    steppers pick different steps there, and their launch points drift
+    apart by rounding, at most 12 stages x ``steps`` roundings of a state
+    of size <= 1.  Along the unstable direction that is a relative change
+    of the 1e-8 offset, which the flow turns into a time shift of that
+    relative change / lam, and not into a shift of the orbit.  So the
+    event times agree to 12 steps u / (1e-8 lam), and the event states on
+    the level, like any two runs at this tolerance, to the sum of the local
+    error bounds, ``steps`` x (rtol |y| + atol) with |y| <= 3.
+    """
+    traj = integrate(field, y0, span, opts, levels=levels)
+    reason, idx, t_ev, state, n = _scipy_run(field, y0, span, opts, levels)
+    assert traj.reason == reason == "event"
+    assert traj.event.index == idx
+    assert len(traj.segments) <= steps and n <= steps
+    time_tol = 12 * steps * _U / (1e-8 * lam)
+    state_tol = steps * TOL_SCALE * (3.0 * opts.rel_tol + opts.abs_tol)
+    assert abs(traj.event.t - t_ev) <= time_tol
+    assert np.max(np.abs(traj.event.state - state)) <= state_tol
+
+
+# criterion 13 at (0.05, 0.01) on both sides of s1, and the corners of
+# criterion 14's (p, eps) box between s1 and s2 and above s2
+@pytest.mark.parametrize("p, s, eps", [
+    (0.05, 0.8, 0.01), (0.05, 1.1, 0.01),
+    *[(p, s, eps) for eps in (1e-2, 1e-4) for p in (0.015, 0.05)
+      for s in (1.0, 1.55)]])
+def test_escape_shot_matches_scipy_dop853(p, s, eps):
+    params = ModelParams(eps=eps, s=s, p=p)
+    state, direction = homoclinic._unstable_direction(p, s, eps)
+    lam = direction[1] / direction[0]  # the eigenvector is (1, lam, .)
+    _assert_shot_matches_scipy(
+        lambda t, y: model.full_field(y, params), state + 1e-8 * direction,
+        (0.0, min(1e4, 100.0 / eps)), homoclinic._ESCAPE_OPTS,
+        (homoclinic.ESCAPE_X1, -homoclinic.ESCAPE_X1), lam, steps=300)
+
+
+@pytest.mark.parametrize("backward", [False, True])
+def test_layer_shot_matches_scipy_dop853(backward):
+    # the two separatrix shots of shoot_heteroclinic(-0.05, 0.3)
+    pbar, s = -0.05, 0.3
+    x_l, _, x_r = model.fast_equilibria_x1(pbar)
+    vu, _ = fast_layer.saddle_eigendirections(x_l, s, toward=x_r)
+    _, vs = fast_layer.saddle_eigendirections(x_r, s, toward=x_l)
+    x0, vec = (x_r, vs) if backward else (x_l, vu)
+    lam = abs(vec[1] / vec[0])  # (1, lam) up to sign; backward, -lam
+    span = (0.0, -fast_layer.SHOT_TIME if backward else fast_layer.SHOT_TIME)
+    _assert_shot_matches_scipy(
+        lambda t, y: model.fast_field(y, pbar, s),
+        np.array([x0, 0.0]) + 1e-8 * vec, span, fast_layer._SHOT_OPTS,
+        (0.5 * (x_l + x_r), x_l - 0.7, x_r + 0.7), lam, steps=300)
+
+
+@pytest.mark.parametrize("variant", ["eq18", "eq17"])
+def test_reduced_run_matches_scipy_dop853(variant):
+    # the reduced-orbit artifact's run; it starts 0.01 off the equilibrium,
+    # so no launch stretches rounding: the two runs differ by their local
+    # errors, at most rtol |y| + atol per step with |y| <= 50 (the escape
+    # radius), grown at most 100-fold from the 0.01 start to the orbit's
+    # O(1) size
+    p, s, eps = 0.06, 1.37, 0.01
+    orbit = slow_reduced.simulate_reduced(p, s, eps, variant=variant)
+    traj = orbit.trajectory
+    opts = integrator.IntegratorOptions(rel_tol=1e-9, abs_tol=1e-11,
+                                        escape_radius=50.0)
+    reason, _, t_end, state, n = _scipy_run(
+        slow_reduced._reduced_field(p, s, eps, variant), traj.states[0],
+        (0.0, 60.0), opts)
+    assert traj.reason == reason == "time-out"
+    assert traj.final_time == t_end == 60.0
+    steps = max(n, len(traj.segments))
+    tol = 100 * steps * TOL_SCALE * (50.0 * opts.rel_tol + opts.abs_tol)
+    assert np.max(np.abs(traj.final_state - state)) <= tol
