@@ -9,10 +9,14 @@ is area expanding (divergence s/5) and single connections are located as
 zeros of the section gap h(pbar, s).
 
 A shot always joins the outer layer equilibria, the first and last roots
-of ``model.fast_equilibria_x1``.  Inside the band (pbar_l, pbar_r) both
-are saddles.  At a band edge the middle equilibrium has merged with one of
-them into a fold: a shot may depart from the fold, along its strong
-unstable direction, when s > 0, but never arrive at it.
+of ``model.fast_equilibria_x1``, from left to right.  Inside the band
+(pbar_l, pbar_r) both are saddles.  At a band edge the middle equilibrium
+has merged with one of them into a fold: a shot may depart from the fold,
+along its strong unstable direction, when s > 0, but never arrive at it.
+
+R: (x1, x2, pbar) -> (11/15 - x1, -x2, pbar_l + pbar_r - pbar) maps the
+layer field to itself at the same s and swaps the outer saddles, so a
+right-to-left connection is the mirror image of a left-to-right one.
 """
 
 from __future__ import annotations
@@ -68,7 +72,6 @@ class HetConnection:
 
     pbar: float
     s: float
-    direction: str  # "left-to-right" or "right-to-left"
     section_gap: float
 
 
@@ -126,71 +129,74 @@ def _shoot_to_section(x0, direction_vec, pbar, s, sigma, backward,
     return None
 
 
+def mirror_pbar(pbar: float) -> float:
+    """R(pbar) = pbar_l + pbar_r - pbar, rounded so that it swaps the band
+    edges exactly."""
+    return model.PBAR_R - (pbar - model.PBAR_L)
+
+
 def shoot_heteroclinic(pbar: float, s: float, offset: float = 1e-8,
                        direction: str = "left-to-right") -> float:
     """Section gap h(pbar, s) between the two separatrices.
 
-    The departure and arrival are the outer layer equilibria, in the order
-    ``direction`` names.  Integrates forward along the unstable direction
-    of the departure and backward along the stable direction of the
-    arrival; returns the difference of the x2-coordinates of the first
+    Integrates forward from the left outer equilibrium x_l along its
+    unstable direction and backward from the right one x_r along its stable
+    direction; returns the difference of the x2-coordinates of the first
     crossings of the section x1 = (x_l + x_r)/2.  A shot that leaves
     [x_l - 0.7, x_r + 0.7] or times out before crossing never left its
-    saddle's side of the section, so it maps to a signed sentinel
-    (+-GAP_SENTINEL) that keeps callers bracketing: the saddle's side of
-    the section, negated for the backward shot.  The backward shot is not
-    run once the forward one has failed.
+    saddle's side of the section; that side, negated for the backward shot,
+    is -GAP_SENTINEL either way, which keeps callers bracketing.  The
+    backward shot is not run once the forward one has failed.  A
+    "right-to-left" shot is the left-to-right one at ``mirror_pbar(pbar)``,
+    negated.
 
     At s = 0 the field is Hamiltonian and a separatrix of the saddle x0
     lies on H = V(x0).  Where V(sigma) > V(x0) at the section sigma it is a
     loop that turns back before the section, so that shot fails without
     being integrated.
 
-    At a band edge (pbar = pbar_r or pbar_l) one outer equilibrium is the
-    fold.  The shot may depart from it when s > 0, along the strong
-    unstable direction (1, s/5).  An arrival at the fold, a fold at s <= 0
-    (no unstable direction) and a pbar with a single equilibrium raise
-    ``DomainError``.
+    At a band edge one outer equilibrium is the fold: x_l at pbar_r, where
+    the shot may depart along the strong unstable direction (1, s/5) when
+    s > 0.  An arrival at the fold (x_r at pbar_l), a fold at s <= 0 and a
+    pbar with a single equilibrium raise ``DomainError``.
     """
-    xs = model.fast_equilibria_x1(pbar)
+    if direction not in ("left-to-right", "right-to-left"):
+        raise ValueError(f"unknown direction {direction!r}")
+    if not math.isfinite(pbar):  # R would turn +-inf into its opposite
+        raise DomainError(f"non-finite pbar: {pbar}")
+    sign = 1.0 if direction == "left-to-right" else -1.0
+    pb = pbar if sign > 0.0 else mirror_pbar(pbar)
+    xs = model.fast_equilibria_x1(pb)
     if len(xs) < 2:
         raise DomainError(f"need 2 layer equilibria, found 1 at pbar={pbar}")
     x_l, x_r = xs[0], xs[-1]
-    if direction == "left-to-right":
-        x_dep, x_arr = x_l, x_r
-    elif direction == "right-to-left":
-        x_dep, x_arr = x_r, x_l
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
     if not 0.0 < offset < math.inf:
         raise DomainError(f"offset must be finite and > 0, got {offset}")
-    folds = (model.X_MINUS, model.X_PLUS)
-    if x_arr in folds:
+    if x_r == model.X_PLUS:
         raise DomainError(f"{direction} shot at pbar={pbar} arrives at the "
                           "fold")
-    if x_dep in folds and not s > 0.0:
+    if x_l == model.X_MINUS and not s > 0.0:
         raise DomainError(f"departure from the fold needs s > 0, got {s}")
-    vu, _ = saddle_eigendirections(x_dep, s, toward=x_arr)
-    _, vs = saddle_eigendirections(x_arr, s, toward=x_dep)
+    vu, _ = saddle_eigendirections(x_l, s, toward=x_r)
+    _, vs = saddle_eigendirections(x_r, s, toward=x_l)
 
     sigma = 0.5 * (x_l + x_r)
     x_lo, x_hi = x_l - 0.7, x_r + 0.7
     crossings = []
-    for x0, vec, backward, sign in ((x_dep, vu, False, 1.0),
-                                    (x_arr, vs, True, -1.0)):
-        barrier = s == 0.0 and potential(sigma, pbar) > potential(x0, pbar)
+    for x0, vec, backward in ((x_l, vu, False), (x_r, vs, True)):
+        barrier = s == 0.0 and potential(sigma, pb) > potential(x0, pb)
         x2 = None if barrier else _shoot_to_section(
-            x0, vec, pbar, s, sigma, backward, offset, x_lo, x_hi)
+            x0, vec, pb, s, sigma, backward, offset, x_lo, x_hi)
         if x2 is None:
-            return sign * math.copysign(GAP_SENTINEL, x0 - sigma)
+            return -sign * GAP_SENTINEL
         crossings.append(x2)
-    return crossings[0] - crossings[1]
+    return sign * (crossings[0] - crossings[1])
 
 
-def find_het(direction: str = "left-to-right", pbar: float | None = None,
-             s: float | None = None, scan: tuple[float, float] = (0.0, 2.0),
+def find_het(pbar: float | None = None, s: float | None = None,
+             scan: tuple[float, float] = (0.0, 2.0),
              gap_tol: float = 1e-10) -> HetConnection:
-    """Solve the section gap to zero in the free parameter.
+    """Solve the left-to-right section gap to zero in the free parameter.
 
     Exactly one of ``pbar``/``s`` must be given; the other is solved for
     by ``roots.refine`` on ``scan``, which must straddle a sign change of
@@ -200,9 +206,9 @@ def find_het(direction: str = "left-to-right", pbar: float | None = None,
         raise ValueError("fix exactly one of pbar, s")
 
     if s is None:
-        gap = lambda sv: shoot_heteroclinic(pbar, sv, direction=direction)
+        gap = lambda sv: shoot_heteroclinic(pbar, sv)
     else:
-        gap = lambda pv: shoot_heteroclinic(pv, s, direction=direction)
+        gap = lambda pv: shoot_heteroclinic(pv, s)
     lo, hi = scan
     root, _, residual, _ = roots.refine(gap, lo, hi, gap(lo), gap(hi),
                                         xtol=1e-14, rtol=1e-15)
@@ -210,44 +216,38 @@ def find_het(direction: str = "left-to-right", pbar: float | None = None,
         raise DomainError(f"gap {residual:.3g} above tolerance at root")
 
     pb, sv = (pbar, root) if s is None else (root, s)
-    return HetConnection(pbar=pb, s=sv, direction=direction,
-                         section_gap=residual)
+    return HetConnection(pbar=pb, s=sv, section_gap=residual)
 
 
 def het_v_curve(s_max: float = 1.45,
                 step: float = 0.03) -> tuple[CurveBranch, CurveBranch]:
     """Both branches of the V-shaped connection curve from its s = 0 vertex.
 
-    Left-to-right connections run from the vertex (pbar*, 0) toward pbar_r,
-    right-to-left ones toward pbar_l.  Along a branch pbar moves
-    monotonically toward its band edge, so each point of the speed grid
-    step, 2*step, ... (capped at s_max) is bracketed between the previous
-    pbar and the edge.  A branch stops at the first speed without a
-    connection; ``meta["termination"]`` says whether it reached s_max.
+    Left-to-right connections run from the vertex (pbar*, 0) toward pbar_r.
+    Along the branch pbar moves monotonically toward the band edge, so each
+    point of the speed grid step, 2*step, ... (capped at s_max) is
+    bracketed between the previous pbar and the edge.  The branch stops at
+    the first speed without a connection; ``meta["termination"]`` says
+    whether it reached s_max.  The right-to-left branch, toward pbar_l, is
+    its mirror image: (mirror_pbar(pbar), s, -gap) point by point.
     """
     for name, value in (("step", step), ("s_max", s_max)):
         if not 0.0 < value < math.inf:
             raise DomainError(f"{name} must be finite and > 0, got {value}")
     if step < MIN_STEP:
         raise DomainError(f"step must be >= {MIN_STEP:g}, got {step}")
-    branches = []
-    for direction, edge in (("left-to-right", model.PBAR_R - EDGE_MARGIN),
-                            ("right-to-left", model.PBAR_L + EDGE_MARGIN)):
-        pb, sv = PBAR_STAR, 0.0
-        branch = CurveBranch(columns=("pbar", "s", "gap"),
-                             meta={"direction": direction,
-                                   "termination": "extent-reached"})
-        branch.points.append(
-            (pb, sv, shoot_heteroclinic(pb, sv, direction=direction)))
-        while sv < s_max - 1e-12:
-            sv = min(sv + step, s_max)
-            try:
-                conn = find_het(direction, s=sv,
-                                scan=(min(pb, edge), max(pb, edge)))
-            except DomainError:
-                branch.meta["termination"] = "no-connection"
-                break
-            pb = conn.pbar
-            branch.points.append((pb, sv, conn.section_gap))
-        branches.append(branch)
-    return branches[0], branches[1]
+    pb, sv = PBAR_STAR, 0.0
+    left = CurveBranch(columns=("pbar", "s", "gap"),
+                       meta={"termination": "extent-reached"})
+    left.points.append((pb, sv, shoot_heteroclinic(pb, sv)))
+    while sv < s_max - 1e-12:
+        sv = min(sv + step, s_max)
+        try:
+            conn = find_het(s=sv, scan=(pb, model.PBAR_R - EDGE_MARGIN))
+        except DomainError:
+            left.meta["termination"] = "no-connection"
+            break
+        pb = conn.pbar
+        left.points.append((pb, sv, conn.section_gap))
+    mirrored = [(mirror_pbar(pb), sv, -gap) for pb, sv, gap in left.points]
+    return left, CurveBranch(left.columns, mirrored, dict(left.meta))

@@ -22,7 +22,7 @@ import numpy as np
 from . import bifurcation, model, roots, slow_reduced
 from .curves import CurveBranch
 from .fast_layer import (EDGE_MARGIN, PBAR_STAR, HetConnection, find_het,
-                         shoot_heteroclinic)
+                         mirror_pbar, shoot_heteroclinic)
 from .integrate import IntegratorOptions, integrate
 from .model import DomainError, ModelParams
 
@@ -110,8 +110,7 @@ def s_star() -> float:
     collide at the fold, and the connection leaves along the strong
     unstable direction of the saddle-node.
     """
-    conn = find_het(direction="left-to-right", pbar=model.PBAR_R,
-                    scan=(1.2, 1.8), gap_tol=GAP_TOL)
+    conn = find_het(pbar=model.PBAR_R, scan=(1.2, 1.8), gap_tol=GAP_TOL)
     return conn.s
 
 
@@ -125,8 +124,7 @@ def upper_connection(p: float) -> HetConnection:
     if not model.PBAR_L < pbar < model.PBAR_R:
         raise DomainError(
             f"height pbar={pbar:.6g} outside the three-equilibria band")
-    return find_het(direction="left-to-right", pbar=pbar, scan=(0.0, 1.6),
-                    gap_tol=GAP_TOL)
+    return find_het(pbar=pbar, scan=(0.0, 1.6), gap_tol=GAP_TOL)
 
 
 def singular_upper_curve(n: int = 30) -> CurveBranch:
@@ -148,28 +146,26 @@ def singular_upper_curve(n: int = 30) -> CurveBranch:
 def return_height_at(p: float, s: float) -> float:
     """Return offset v whose right-to-left connection runs at speed s.
 
-    The right-to-left connection at speed s fixes a unique layer parameter
-    pbar; the height offset follows from p - x1*(p) - v = pbar.  Its pbar
-    falls toward the band edge PBAR_L as s grows; within ``EDGE_MARGIN`` of
-    it (on the speed of AC, once p_- - p is below about 1e-3) it raises a
-    ``DomainError`` that says so.
+    That connection's layer parameter pbar is the mirror image of the
+    left-to-right one solved at speed s; v follows from p - x1*(p) - v =
+    pbar.  Its pbar falls toward the band edge PBAR_L as s grows; within
+    ``EDGE_MARGIN`` of it (on the speed of AC, once p_- - p is below about
+    1e-3) it raises a ``DomainError`` that says so.
     """
-    scan = (model.PBAR_L + EDGE_MARGIN, PBAR_STAR - 1e-9)
+    scan = (mirror_pbar(PBAR_STAR - 1e-9), model.PBAR_R - EDGE_MARGIN)
     try:
-        conn = find_het(direction="right-to-left", s=s, scan=scan,
-                        gap_tol=GAP_TOL)
+        conn = find_het(s=s, scan=scan, gap_tol=GAP_TOL)
     except DomainError:
-        # the gap falls through zero in pbar; negative already at the scan's
-        # band-edge end, it has its root beyond that end
-        gap = shoot_heteroclinic(scan[0], s, direction="right-to-left")
+        # negative at the scan's band-edge end: the root lies beyond it
+        gap = -shoot_heteroclinic(scan[1], s)
         if gap < 0.0:
             raise DomainError(
                 f"no return height at p={p}, s={s}: the right-to-left "
                 f"connection lies within EDGE_MARGIN={EDGE_MARGIN:g} of the "
                 f"band edge PBAR_L={model.PBAR_L:.6g}, or past it (gap "
-                f"{gap:.3g} at pbar={scan[0]:.6g})") from None
+                f"{gap:.3g} at pbar={mirror_pbar(scan[1]):.6g})") from None
         raise
-    return equilibrium_pbar(p) - conn.pbar
+    return equilibrium_pbar(p) - mirror_pbar(conn.pbar)
 
 
 def _unstable_direction(p: float, s: float, eps: float):

@@ -17,11 +17,12 @@ operations per stage, not numpy's per-call overhead on 2- and 3-vectors.
 
 The dense output of an accepted step is built only where it is read: on
 every step of a run without levels, and on the step where x1 crosses a
-level.  It costs 3 field evaluations on top of the step's 12 and does not
-steer the stepper, so a run takes the same steps either way.  A crossing
-is localized on the dense output of the step it falls in, so its time does
-not depend on where step endpoints happen to fall.  Integration is
-deterministic: identical inputs produce identical trajectories on one
+level.  It costs 3 field evaluations on top of an accepted step's 12 and
+does not steer the stepper, so a run takes the same steps either way.  A
+rejected attempt costs 11: the error estimate does not weigh the field at
+the step's end.  A crossing is localized on the dense output of the step it
+falls in, so its time does not depend on where step endpoints happen to
+fall.  Integration is deterministic: identical inputs produce identical trajectories on one
 platform.
 """
 
@@ -305,7 +306,7 @@ class _Dop853:
             h = t_new - t
             h_abs = abs(h)
             y_new, stages = _rk_step(self.fun, t, y, self.f, h)
-            self.nfev += 12
+            self.nfev += 11
             error = _error_norm(h, y, y_new, stages, self.rtol, self.atol)
             if error < 1:
                 break
@@ -319,9 +320,11 @@ class _Dop853:
         if rejected:
             factor = min(1.0, factor)
         self.h_abs = h_abs * factor
+        k13 = self.fun(t + h, y_new)
+        self.nfev += 1
         self.t_old, self.y_old, self.h = t, y, h
-        self.t, self.y, self.f = t_new, y_new, stages[-1]
-        self.stages = stages
+        self.t, self.y, self.f = t_new, y_new, k13
+        self.stages = (*stages, k13)
         return True
 
     def dense_output(self) -> _DenseStep:
@@ -412,9 +415,9 @@ def _norm(v) -> float:
 def _rk_step(fun, t, y, f, h):
     """The 12 stages of a DOP853 step of size h from (t, y), f = fun(t, y).
 
-    Returns y_new and the stages that the error estimate and the dense
-    output read: k1, k6 to k12, and k13 = fun(t + h, y_new).  Each stage
-    state is y + (sum over j of a_ij k_j) h, summed in stage order.
+    Returns y_new and the stages that the error estimate reads: k1 and k6
+    to k12.  Each stage state is y + (sum over j of a_ij k_j) h, summed in
+    stage order.
     """
     k1 = f
     k2 = fun(t + C2 * h, [v + (A2_1 * q1) * h for v, q1 in zip(y, k1)])
@@ -456,8 +459,7 @@ def _rk_step(fun, t, y, f, h):
                  + B10 * q10 + B11 * q11 + B12 * q12)
         for v, q1, q6, q7, q8, q9, q10, q11, q12
         in zip(y, k1, k6, k7, k8, k9, k10, k11, k12)]
-    k13 = fun(t + h, y_new)
-    return y_new, (k1, k6, k7, k8, k9, k10, k11, k12, k13)
+    return y_new, (k1, k6, k7, k8, k9, k10, k11, k12)
 
 
 def _error_norm(h, y, y_new, stages, rtol, atol) -> float:
@@ -468,7 +470,7 @@ def _error_norm(h, y, y_new, stages, rtol, atol) -> float:
     atol > 0; 0/0 (a zero E5 sum beside an E3 sum that underflows) is NaN,
     as in scipy.
     """
-    k1, k6, k7, k8, k9, k10, k11, k12, _ = stages
+    k1, k6, k7, k8, k9, k10, k11, k12 = stages
     e5 = e3 = 0.0
     for v, w, q1, q6, q7, q8, q9, q10, q11, q12 in zip(
             y, y_new, k1, k6, k7, k8, k9, k10, k11, k12):

@@ -70,6 +70,34 @@ def test_tracer_proxies_expose_the_benchmark_names(tracing):
         assert counts["fallback_ends"] == 0
 
 
+def test_tracer_records_the_layers_of_a_solve(tracing):
+    # the benchmark's per-layer counts read these spans: shots of
+    # locate_c_curve, and the layer solves and shots under the singular
+    # connections
+    solves = (
+        ("c_curve", "locate_c_curve", (0.05, 1e-2), {"bracket_tol": 1e-3}),
+        ("upper", "upper_connection", (-0.05,), {}),
+        ("return", "return_height_at", (-0.05, 0.5), {}),
+    )
+    tracer = tracing.Tracer()
+    proxies = tracer.install(fhnwave)
+    try:
+        for solve_id, (name, call, args, kwargs) in enumerate(solves):
+            tracer.begin_solve(solve_id, name)
+            getattr(proxies["homoclinic"], call)(*args, **kwargs)
+            tracer.end_solve()
+    finally:
+        tracer.uninstall()
+    seen = [set() for _ in solves]
+    for span in tracer.spans:
+        seen[span[tracing.SOLVE]].add((span[tracing.LAYER],
+                                       span[tracing.NAME]))
+    assert ("homoclinic", "escape_side") in seen[0]
+    for names in seen[1:]:
+        assert {("fast_layer", "find_het"),
+                ("fast_layer", "shoot_heteroclinic")} <= names
+
+
 def test_tracer_uninstall_restores_every_rebound_attribute(tracing):
     before = layer_attributes(tracing)
     tracer = tracing.Tracer()

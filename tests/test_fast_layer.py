@@ -49,8 +49,7 @@ def test_hamiltonian_conserved_along_layer_orbit():
 def test_gap_sign_change_brackets_connection():
     pbar = fast_layer.PBAR_STAR
     lo = fast_layer.shoot_heteroclinic(pbar + 1e-3, 0.4, direction="left-to-right")
-    conn = fast_layer.find_het(direction="left-to-right", s=0.4,
-                               scan=(pbar, model.PBAR_R - 1e-6))
+    conn = fast_layer.find_het(s=0.4, scan=(pbar, model.PBAR_R - 1e-6))
     assert abs(conn.section_gap) < 1e-10
     assert conn.pbar > pbar  # positive speed shifts the connection right
     assert lo != 0.0
@@ -79,15 +78,18 @@ def test_no_connection_outside_band():
 
 
 def test_right_to_left_mirrors_left_to_right():
-    # the involution pairs the two directions at mirrored pbar
-    conn_lr = fast_layer.find_het(direction="left-to-right", s=0.5,
-                                  scan=(fast_layer.PBAR_STAR,
-                                        model.PBAR_R - 1e-6))
-    conn_rl = fast_layer.find_het(direction="right-to-left", s=0.5,
-                                  scan=(model.PBAR_L + 1e-6,
-                                        fast_layer.PBAR_STAR))
+    # the involution R pairs the two directions at mirrored pbar: the
+    # right-to-left gap vanishes at the mirror image, about the band
+    # centre, of the left-to-right connection at the same speed
+    conn = fast_layer.find_het(s=0.5, scan=(fast_layer.PBAR_STAR,
+                                            model.PBAR_R - 1e-6))
     center = 0.5 * (model.PBAR_L + model.PBAR_R)
-    assert abs((conn_lr.pbar - center) + (conn_rl.pbar - center)) < 1e-8
+    gap = fast_layer.shoot_heteroclinic(2.0 * center - conn.pbar, 0.5,
+                                        direction="right-to-left")
+    assert abs(gap) < 1e-10
+    # R swaps the band edges exactly, so the fold maps onto the fold
+    assert fast_layer.mirror_pbar(model.PBAR_L) == model.PBAR_R
+    assert fast_layer.mirror_pbar(model.PBAR_R) == model.PBAR_L
 
 
 def test_continuation_short_segment():
@@ -160,6 +162,14 @@ def test_fold_shot_domain_errors():
             fast_layer.shoot_heteroclinic(pbar, 1.5)
 
 
+@pytest.mark.parametrize("direction", ["left-to-right", "right-to-left"])
+def test_shot_names_the_callers_non_finite_pbar(direction):
+    # a right-to-left shot mirrors pbar, which would turn inf into -inf
+    for pbar in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError, match=f"non-finite pbar: {pbar}$"):
+            fast_layer.shoot_heteroclinic(pbar, 0.3, direction=direction)
+
+
 def _counting_integrate(monkeypatch):
     """The list of trajectories ``fast_layer.integrate`` returns from now on."""
     calls = []
@@ -229,14 +239,16 @@ def test_failed_shot_gap_is_its_saddles_side(monkeypatch, pbar, s, direction,
     gap = fast_layer.shoot_heteroclinic(pbar, s, direction=direction)
     assert len(calls) == failed + 1  # the failed shot is the last one run
     traj = calls[-1]
+    end_x1 = traj.final_state[0]
+    if direction == "right-to-left":  # integrated as its mirror image
+        end_x1 = 11.0 / 15.0 - end_x1
     if end == "time-out":
         assert traj.reason == "time-out"
     else:
         assert traj.reason == "event"
         exit_x1 = x_l - 0.7 if end == "x_lo" else x_r + 0.7
-        assert traj.final_state[0] == pytest.approx(exit_x1, abs=1e-9)
-    side = math.copysign(fast_layer.GAP_SENTINEL,
-                         traj.final_state[0] - sigma)
+        assert end_x1 == pytest.approx(exit_x1, abs=1e-9)
+    side = math.copysign(fast_layer.GAP_SENTINEL, end_x1 - sigma)
     assert gap == (side if failed == 0 else -side)
     # involution: the other direction at the mirrored pbar, same speed
     mirrored = {"left-to-right": "right-to-left",

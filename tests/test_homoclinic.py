@@ -60,6 +60,21 @@ def test_return_curves_ordered_by_height():
     assert heights[0] < heights[1] < heights[2]
 
 
+@pytest.mark.parametrize("p", [
+    model.P_MINUS - 1e-2, model.P_MINUS - 3e-3,
+    0.5 * (homoclinic.P_STAR + model.P_MINUS), homoclinic.P_STAR + 1e-2],
+    ids=["p_minus-1e-2", "p_minus-3e-3", "mid-band", "p_star+1e-2"])
+def test_return_height_along_ac_is_closed_form(p):
+    # on AC the down jump runs at the speed of the up jump, whose layer
+    # parameter is the equilibrium height's pbar_e; R puts the right-to-left
+    # connection at pbar_l + pbar_r - pbar_e, so v = 2 pbar_e - pbar_l -
+    # pbar_r.  Bound: the solves' gap tolerance 1e-8 over a gap slope of
+    # order 0.1 to 1 in pbar.
+    s = homoclinic.upper_connection(p).s
+    want = 2.0 * homoclinic.equilibrium_pbar(p) - model.PBAR_L - model.PBAR_R
+    assert abs(homoclinic.return_height_at(p, s) - want) <= 1e-7
+
+
 @pytest.mark.parametrize("dp", [1e-3, 1e-4])
 def test_return_height_names_the_band_edge(dp):
     # on the speed of AC just below p_-, the right-to-left connection lies

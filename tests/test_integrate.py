@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from scipy.integrate import DOP853
 from scipy.optimize import brentq
 
-from fhnwave.integrate import (EVENT_TOL, IntegrationError, IntegratorOptions,
-                               integrate)
+from fhnwave import integrate as integrator
+from fhnwave.integrate import (EVENT_TOL, TOL_SCALE, IntegrationError,
+                               IntegratorOptions, integrate)
 
 
 def _oscillator(t, y):
@@ -99,6 +101,42 @@ def test_nfev_counts_every_field_evaluation():
         traj = integrate(counted, np.array([1.0, 0.0]), (0.0, 10.0), opts,
                          levels=levels)
         assert traj.nfev == len(calls) > 0
+
+
+def test_rejected_attempt_skips_the_end_stage(monkeypatch):
+    # the 12th field evaluation of a step, at its end, has no weight in the
+    # error estimate: scipy's DOP853 makes it on every attempt, integrate
+    # only on accepted steps.  Van der Pol at mu = 5 rejects some attempts.
+    field = lambda t, y: np.array([y[1],
+                                   5.0 * (1.0 - y[0] ** 2) * y[1] - y[0]])
+    y0, t_end = np.array([2.0, 0.0]), 10.0
+    opts = IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12)
+    attempts = []
+    real = integrator._rk_step
+
+    def counted(*args):
+        attempts.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(integrator, "_rk_step", counted)
+    # a level never reached: no dense output, whose 3 stages scipy's
+    # stepping does not make
+    traj = integrate(field, y0, (0.0, t_end), opts, levels=(100.0,))
+    solver = DOP853(field, 0.0, y0, t_end, rtol=opts.rel_tol * TOL_SCALE,
+                    atol=opts.abs_tol * TOL_SCALE)
+    ts = [solver.t]
+    while solver.status == "running":
+        solver.step()
+        ts.append(solver.t)
+    assert traj.reason == "time-out" and solver.status == "finished"
+    accepted = len(traj.t) - 1
+    rejected = len(attempts) - accepted
+    # the same accepted steps, and scipy made the same attempts
+    assert accepted == len(ts) - 1 and rejected > 0
+    assert np.max(np.abs(traj.t - ts)) < 1e-5
+    assert np.max(np.abs(traj.final_state - solver.y)) < 1e-12
+    assert solver.nfev == 2 + 12 * len(attempts)
+    assert solver.nfev - traj.nfev == rejected
 
 
 def test_first_event_wins():

@@ -61,23 +61,29 @@ def test_shots_match_radau_oracle():
         assert np.sign(end[0]) == expected
         assert homoclinic.escape_side(p, s, eps) == expected
 
-    # section gap of the layer separatrices, away from any connection
+    # section gap of the layer separatrices, away from any connection, in
+    # both directions: the right-to-left one is integrated as such here,
+    # forward from x_r and backward from x_l, so it checks the mirror
+    # through which shoot_heteroclinic computes it
     pbar, s = -0.05, 0.3
     x_l, _, x_r = model.fast_equilibria_x1(pbar)
-    vu_l, _ = fast_layer.saddle_eigendirections(x_l, s, toward=x_r)
-    _, vs_r = fast_layer.saddle_eigendirections(x_r, s, toward=x_l)
     sigma = 0.5 * (x_l + x_r)
     field = lambda t, y: model.fast_field(y, pbar, s)
     jac = lambda t, y: np.array([[0.0, 1.0],
                                  [-0.2 * model.cubic_prime(y[0]), s / 5.0]])
     section = lambda t, y: y[0] - sigma
-    fwd = _radau(field, jac, np.array([x_l, 0.0]) + 1e-8 * vu_l, 5000.0,
-                 section)
-    bwd = _radau(lambda t, y: -field(t, y), lambda t, y: -jac(t, y),
-                 np.array([x_r, 0.0]) + 1e-8 * vs_r, 5000.0, section)
-    gap = fwd[1] - bwd[1]
-    assert abs(gap) > 1e-2
-    assert abs(fast_layer.shoot_heteroclinic(pbar, s) - gap) < 1e-10
+    for direction, x_dep, x_arr in (("left-to-right", x_l, x_r),
+                                    ("right-to-left", x_r, x_l)):
+        vu, _ = fast_layer.saddle_eigendirections(x_dep, s, toward=x_arr)
+        _, vs = fast_layer.saddle_eigendirections(x_arr, s, toward=x_dep)
+        fwd = _radau(field, jac, np.array([x_dep, 0.0]) + 1e-8 * vu, 5000.0,
+                     section)
+        bwd = _radau(lambda t, y: -field(t, y), lambda t, y: -jac(t, y),
+                     np.array([x_arr, 0.0]) + 1e-8 * vs, 5000.0, section)
+        gap = fwd[1] - bwd[1]
+        assert abs(gap) > 1e-2
+        got = fast_layer.shoot_heteroclinic(pbar, s, direction=direction)
+        assert abs(got - gap) < 1e-10, direction
 
 
 def _jacobian(x1, s, eps):
