@@ -61,7 +61,7 @@ def potential(x1, pbar):
 
 
 def hamiltonian(state, pbar):
-    """H(x1, x2) = x2^2/2 + V(x1); conserved along s = 0 trajectories."""
+    """H = x2^2/2 + V(x1), kept as the tests' oracle: conserved at s = 0."""
     x1, x2 = state[0], state[1]
     return 0.5 * x2 * x2 + potential(x1, pbar)
 

@@ -192,6 +192,18 @@ def _unstable_direction(p: float, s: float, eps: float):
             np.array([1.0, lam, v3]) / math.hypot(1.0, lam, v3))
 
 
+def _require_stable_pair(p: float, s: float, eps: float) -> None:
+    """Raise unless q has a stable pair: with roots lambda > 0 and
+    mu +- i*omega, the Hurwitz margin c1*c2 - c0 is
+    -2*mu*((lambda + mu)^2 + omega^2), which is <= 0 past the Hopf set."""
+    c0, c1, c2 = bifurcation.char_poly_coeffs(model.equilibrium_x1(p), s,
+                                              eps)
+    if not c1 * c2 - c0 > 0.0:
+        raise DomainError(f"q has no stable pair at p={p}, s={s}, eps={eps} "
+                          f"(c1*c2 - c0 = {c1 * c2 - c0:.3g}): past the Hopf "
+                          "set, an escape flip is no homoclinic speed")
+
+
 def escape_side(p: float, s: float, eps: float, offset: float = 1e-8) -> int:
     """-1 or +1: side on which the unstable manifold of q escapes.
 
@@ -224,8 +236,8 @@ def locate_c_curve(p: float, eps: float,
     Scans s over ``s_scan`` (``N_SCAN`` speeds), brackets each flip of the
     left/right escape classification and bisects it to ``bracket_tol``.
     Flips closer than the bundle width count as one C-curve point; anything
-    other than exactly two distinct speeds raises with the count found.
-    Needs 0 < s_lo < s_hi < inf for ``s_scan = (s_lo, s_hi)``.
+    but two distinct speeds, each with a stable pair at q, raises.  Needs
+    0 < s_lo < s_hi < inf for ``s_scan = (s_lo, s_hi)``.
     """
     s_lo, s_hi = s_scan
     if not 0.0 < s_lo < s_hi < math.inf:  # also rejects NaN
@@ -245,6 +257,8 @@ def locate_c_curve(p: float, eps: float,
         raise DomainError(
             f"expected 2 splitting speeds at p={p}, eps={eps}; "
             f"found {len(found)} in {s_scan}")
+    for lo, hi in found:
+        _require_stable_pair(p, 0.5 * (lo + hi), eps)
     (lo1, hi1), (lo2, hi2) = found
     return CCurvePoint(p=p, s1=0.5 * (lo1 + hi1), s2=0.5 * (lo2 + hi2),
                        eps=eps, bracket_width=max(hi1 - lo1, hi2 - lo2))

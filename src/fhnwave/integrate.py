@@ -8,12 +8,13 @@ asks where x1 crosses a section or an exit abscissa, and nothing else.
 The stepper is the 8(5,3) Dormand-Prince pair DOP853 of Hairer, Norsett &
 Wanner (*Solving Ordinary Differential Equations I*, II.10), written out
 stage by stage on Python floats, as ``dop853.f`` does.  It follows
-``scipy.integrate.DOP853`` in everything but summation order: the same
-tableau, initial-step rule, error norm (the E5/E3 pair) and step-size
-controller.  Its state lives in lists of floats; the field gets each stage
-state as a fresh float ndarray and its result is read back with
-``tolist()``, so the per-step cost is the field's and a few float
-operations per stage, not numpy's per-call overhead on 2- and 3-vectors.
+``scipy.integrate.DOP853`` in everything but summation order: its tableau
+(``dop853_coefficients``, read as floats), initial-step rule, error norm
+(the E5/E3 pair) and step-size controller.  Its state lives in lists of
+floats; the field gets each stage state as a fresh float ndarray and its
+result is read back with ``tolist()``, so the per-step cost is the field's
+and a few float operations per stage, not numpy's per-call overhead on 2-
+and 3-vectors.
 
 The dense output of an accepted step is built only where it is read: on
 every step of a run without levels, and on the step where x1 crosses a
@@ -22,8 +23,7 @@ does not steer the stepper, so a run takes the same steps either way.  A
 rejected attempt costs 11: the error estimate does not weigh the field at
 the step's end.  A crossing is localized on the dense output of the step it
 falls in, so its time does not depend on where step endpoints happen to
-fall.  Integration is deterministic: identical inputs produce identical trajectories on one
-platform.
+fall.  Identical inputs give identical trajectories on one platform.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.integrate._ivp import dop853_coefficients as _tableau
 from scipy.optimize import brentq
 
 
@@ -493,193 +494,45 @@ def _error_norm(h, y, y_new, stages, rtol, atol) -> float:
     return abs(h) * e5 / denom if denom > 0.0 else math.nan
 
 
-# The DOP853 tableau (Hairer's dop853.f; the digits of scipy's
-# dop853_coefficients), by stage number from 1.  Stage i is evaluated at
-# t + Ci h from y + (sum of Ai_j kj) h.  Stage 13 is the field at the step's
-# end, y_new = y + h (sum of Bj kj); stages 14 to 16 feed only the dense
-# output, whose rows F3..F6 are h (sum of Dr_j kj) for r = 4..7.  E5 and E3
-# weigh the stages into the 5th- and 3rd-order error estimates.  Entries
-# not named are zero.
-C2 = 0.526001519587677318785587544488e-01
-C3 = 0.789002279381515978178381316732e-01
-C4 = 0.118350341907227396726757197510
-C5 = 0.281649658092772603273242802490
-C6 = 0.333333333333333333333333333333
-C7 = 0.25
-C8 = 0.307692307692307692307692307692
-C9 = 0.651282051282051282051282051282
-C10 = 0.6
-C11 = 0.857142857142857142857142857142
-C12 = 1.0
-C14 = 0.1
-C15 = 0.2
-C16 = 0.777777777777777777777777777778
-
-A2_1 = 5.26001519587677318785587544488e-2
-
-A3_1 = 1.97250569845378994544595329183e-2
-A3_2 = 5.91751709536136983633785987549e-2
-
-A4_1 = 2.95875854768068491816892993775e-2
-A4_3 = 8.87627564304205475450678981324e-2
-
-A5_1 = 2.41365134159266685502369798665e-1
-A5_3 = -8.84549479328286085344864962717e-1
-A5_4 = 9.24834003261792003115737966543e-1
-
-A6_1 = 3.7037037037037037037037037037e-2
-A6_4 = 1.70828608729473871279604482173e-1
-A6_5 = 1.25467687566822425016691814123e-1
-
-A7_1 = 3.7109375e-2
-A7_4 = 1.70252211019544039314978060272e-1
-A7_5 = 6.02165389804559606850219397283e-2
-A7_6 = -1.7578125e-2
-
-A8_1 = 3.70920001185047927108779319836e-2
-A8_4 = 1.70383925712239993810214054705e-1
-A8_5 = 1.07262030446373284651809199168e-1
-A8_6 = -1.53194377486244017527936158236e-2
-A8_7 = 8.27378916381402288758473766002e-3
-
-A9_1 = 6.24110958716075717114429577812e-1
-A9_4 = -3.36089262944694129406857109825
-A9_5 = -8.68219346841726006818189891453e-1
-A9_6 = 2.75920996994467083049415600797e1
-A9_7 = 2.01540675504778934086186788979e1
-A9_8 = -4.34898841810699588477366255144e1
-
-A10_1 = 4.77662536438264365890433908527e-1
-A10_4 = -2.48811461997166764192642586468
-A10_5 = -5.90290826836842996371446475743e-1
-A10_6 = 2.12300514481811942347288949897e1
-A10_7 = 1.52792336328824235832596922938e1
-A10_8 = -3.32882109689848629194453265587e1
-A10_9 = -2.03312017085086261358222928593e-2
-
-A11_1 = -9.3714243008598732571704021658e-1
-A11_4 = 5.18637242884406370830023853209
-A11_5 = 1.09143734899672957818500254654
-A11_6 = -8.14978701074692612513997267357
-A11_7 = -1.85200656599969598641566180701e1
-A11_8 = 2.27394870993505042818970056734e1
-A11_9 = 2.49360555267965238987089396762
-A11_10 = -3.0467644718982195003823669022
-
-A12_1 = 2.27331014751653820792359768449
-A12_4 = -1.05344954667372501984066689879e1
-A12_5 = -2.00087205822486249909675718444
-A12_6 = -1.79589318631187989172765950534e1
-A12_7 = 2.79488845294199600508499808837e1
-A12_8 = -2.85899827713502369474065508674
-A12_9 = -8.87285693353062954433549289258
-A12_10 = 1.23605671757943030647266201528e1
-A12_11 = 6.43392746015763530355970484046e-1
-
-B1 = 5.42937341165687622380535766363e-2
-B6 = 4.45031289275240888144113950566
-B7 = 1.89151789931450038304281599044
-B8 = -5.8012039600105847814672114227
-B9 = 3.1116436695781989440891606237e-1
-B10 = -1.52160949662516078556178806805e-1
-B11 = 2.01365400804030348374776537501e-1
-B12 = 4.47106157277725905176885569043e-2
-
-A14_1 = 5.61675022830479523392909219681e-2
-A14_7 = 2.53500210216624811088794765333e-1
-A14_8 = -2.46239037470802489917441475441e-1
-A14_9 = -1.24191423263816360469010140626e-1
-A14_10 = 1.5329179827876569731206322685e-1
-A14_11 = 8.20105229563468988491666602057e-3
-A14_12 = 7.56789766054569976138603589584e-3
-A14_13 = -8.298e-3
-
-A15_1 = 3.18346481635021405060768473261e-2
-A15_6 = 2.83009096723667755288322961402e-2
-A15_7 = 5.35419883074385676223797384372e-2
-A15_8 = -5.49237485713909884646569340306e-2
-A15_11 = -1.08347328697249322858509316994e-4
-A15_12 = 3.82571090835658412954920192323e-4
-A15_13 = -3.40465008687404560802977114492e-4
-A15_14 = 1.41312443674632500278074618366e-1
-
-A16_1 = -4.28896301583791923408573538692e-1
-A16_6 = -4.69762141536116384314449447206
-A16_7 = 7.68342119606259904184240953878
-A16_8 = 4.06898981839711007970213554331
-A16_9 = 3.56727187455281109270669543021e-1
-A16_13 = -1.39902416515901462129418009734e-3
-A16_14 = 2.9475147891527723389556272149
-A16_15 = -9.15095847217987001081870187138
-
-E5_1 = 0.1312004499419488073250102996e-1
-E5_6 = -0.1225156446376204440720569753e+1
-E5_7 = -0.4957589496572501915214079952
-E5_8 = 0.1664377182454986536961530415e+1
-E5_9 = -0.3503288487499736816886487290
-E5_10 = 0.3341791187130174790297318841
-E5_11 = 0.8192320648511571246570742613e-1
-E5_12 = -0.2235530786388629525884427845e-1
-
-# E3 is B less the weights of the embedded 3rd-order formula (bhh in
-# dop853.f), which are nonzero at stages 1, 9 and 12.
-E3_1 = B1 - 0.244094488188976377952755905512
-E3_6 = B6
-E3_7 = B7
-E3_8 = B8
-E3_9 = B9 - 0.733846688281611857341361741547
-E3_10 = B10
-E3_11 = B11
-E3_12 = B12 - 0.220588235294117647058823529412e-1
-
-D4_1 = -0.84289382761090128651353491142e+1
-D4_6 = 0.56671495351937776962531783590
-D4_7 = -0.30689499459498916912797304727e+1
-D4_8 = 0.23846676565120698287728149680e+1
-D4_9 = 0.21170345824450282767155149946e+1
-D4_10 = -0.87139158377797299206789907490
-D4_11 = 0.22404374302607882758541771650e+1
-D4_12 = 0.63157877876946881815570249290
-D4_13 = -0.88990336451333310820698117400e-1
-D4_14 = 0.18148505520854727256656404962e+2
-D4_15 = -0.91946323924783554000451984436e+1
-D4_16 = -0.44360363875948939664310572000e+1
-
-D5_1 = 0.10427508642579134603413151009e+2
-D5_6 = 0.24228349177525818288430175319e+3
-D5_7 = 0.16520045171727028198505394887e+3
-D5_8 = -0.37454675472269020279518312152e+3
-D5_9 = -0.22113666853125306036270938578e+2
-D5_10 = 0.77334326684722638389603898808e+1
-D5_11 = -0.30674084731089398182061213626e+2
-D5_12 = -0.93321305264302278729567221706e+1
-D5_13 = 0.15697238121770843886131091075e+2
-D5_14 = -0.31139403219565177677282850411e+2
-D5_15 = -0.93529243588444783865713862664e+1
-D5_16 = 0.35816841486394083752465898540e+2
-
-D6_1 = 0.19985053242002433820987653617e+2
-D6_6 = -0.38703730874935176555105901742e+3
-D6_7 = -0.18917813819516756882830838328e+3
-D6_8 = 0.52780815920542364900561016686e+3
-D6_9 = -0.11573902539959630126141871134e+2
-D6_10 = 0.68812326946963000169666922661e+1
-D6_11 = -0.10006050966910838403183860980e+1
-D6_12 = 0.77771377980534432092869265740
-D6_13 = -0.27782057523535084065932004339e+1
-D6_14 = -0.60196695231264120758267380846e+2
-D6_15 = 0.84320405506677161018159903784e+2
-D6_16 = 0.11992291136182789328035130030e+2
-
-D7_1 = -0.25693933462703749003312586129e+2
-D7_6 = -0.15418974869023643374053993627e+3
-D7_7 = -0.23152937917604549567536039109e+3
-D7_8 = 0.35763911791061412378285349910e+3
-D7_9 = 0.93405324183624310003907691704e+2
-D7_10 = -0.37458323136451633156875139351e+2
-D7_11 = 0.10409964950896230045147246184e+3
-D7_12 = 0.29840293426660503123344363579e+2
-D7_13 = -0.43533456590011143754432175058e+2
-D7_14 = 0.96324553959188282948394950600e+2
-D7_15 = -0.39177261675615439165231486172e+2
-D7_16 = -0.14972683625798562581422125276e+3
+# The DOP853 tableau by stage number from 1, as Python floats.  Stage i is
+# evaluated at t + Ci h from y + (sum of Ai_j kj) h; stage 13 is the field
+# at y_new = y + h (sum of Bj kj), and stages 14 to 16 feed only the dense
+# output rows F3..F6 = h (sum of Dr_j kj), r = 4..7.  E5 and E3 weigh the
+# stages into the error estimates.  A row of A is read up to its stage (the
+# method is explicit); the entries not named (_) are zero.
+_A, _D = _tableau.A, _tableau.D
+(_, C2, C3, C4, C5, C6, C7, C8, C9, C10, C11, C12, _, C14, C15, C16
+ ) = _tableau.C.tolist()
+A2_1, = _A[1, :1].tolist()
+A3_1, A3_2 = _A[2, :2].tolist()
+A4_1, _, A4_3 = _A[3, :3].tolist()
+A5_1, _, A5_3, A5_4 = _A[4, :4].tolist()
+A6_1, _, _, A6_4, A6_5 = _A[5, :5].tolist()
+A7_1, _, _, A7_4, A7_5, A7_6 = _A[6, :6].tolist()
+A8_1, _, _, A8_4, A8_5, A8_6, A8_7 = _A[7, :7].tolist()
+A9_1, _, _, A9_4, A9_5, A9_6, A9_7, A9_8 = _A[8, :8].tolist()
+A10_1, _, _, A10_4, A10_5, A10_6, A10_7, A10_8, A10_9 = _A[9, :9].tolist()
+(A11_1, _, _, A11_4, A11_5, A11_6, A11_7, A11_8, A11_9, A11_10
+ ) = _A[10, :10].tolist()
+(A12_1, _, _, A12_4, A12_5, A12_6, A12_7, A12_8, A12_9, A12_10, A12_11
+ ) = _A[11, :11].tolist()
+B1, _, _, _, _, B6, B7, B8, B9, B10, B11, B12 = _tableau.B.tolist()
+(A14_1, _, _, _, _, _, A14_7, A14_8, A14_9, A14_10, A14_11, A14_12, A14_13
+ ) = _A[13, :13].tolist()
+(A15_1, _, _, _, _, A15_6, A15_7, A15_8, _, _, A15_11, A15_12, A15_13,
+ A15_14) = _A[14, :14].tolist()
+(A16_1, _, _, _, _, A16_6, A16_7, A16_8, A16_9, _, _, _, A16_13, A16_14,
+ A16_15) = _A[15, :15].tolist()
+E5_1, _, _, _, _, E5_6, E5_7, E5_8, E5_9, E5_10, E5_11, E5_12, _ = (
+    _tableau.E5.tolist())
+E3_1, _, _, _, _, E3_6, E3_7, E3_8, E3_9, E3_10, E3_11, E3_12, _ = (
+    _tableau.E3.tolist())
+(D4_1, _, _, _, _, D4_6, D4_7, D4_8, D4_9, D4_10, D4_11, D4_12, D4_13, D4_14,
+ D4_15, D4_16) = _D[0].tolist()
+(D5_1, _, _, _, _, D5_6, D5_7, D5_8, D5_9, D5_10, D5_11, D5_12, D5_13, D5_14,
+ D5_15, D5_16) = _D[1].tolist()
+(D6_1, _, _, _, _, D6_6, D6_7, D6_8, D6_9, D6_10, D6_11, D6_12, D6_13, D6_14,
+ D6_15, D6_16) = _D[2].tolist()
+(D7_1, _, _, _, _, D7_6, D7_7, D7_8, D7_9, D7_10, D7_11, D7_12, D7_13, D7_14,
+ D7_15, D7_16) = _D[3].tolist()
+del _, _A, _D

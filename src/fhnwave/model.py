@@ -168,7 +168,7 @@ def full_field(state, params: ModelParams) -> np.ndarray:
 
 
 def full_jacobian(state, params: ModelParams) -> np.ndarray:
-    """Exact Jacobian of the fast-time field at ``state``."""
+    """Exact Jacobian of the fast-time field, kept as the tests' eig oracle."""
     x1, _, _ = _finite_state(state)
     if params.s == 0.0:
         raise DomainError("wave-speed division: s = 0")
@@ -258,7 +258,7 @@ def symmetry_transform(state, p: float) -> tuple[np.ndarray, float]:
     Maps x1 -> 11/15 - x1, x2 -> -x2, y -> 11/15 - y, p -> 2057/3375 - p.
     Composed with time reversal and s -> -s this leaves the vector field
     invariant, which pairs the parameter values p and 2057/3375 - p (in
-    particular p_- + p_+ = 2057/3375 exactly).
+    particular p_- + p_+ = 2057/3375 exactly).  Kept as the tests' oracle.
     """
     x1, x2, y = _finite_state(state)
     return (

@@ -179,6 +179,8 @@ def simulate_reduced(p: float, s: float, eps: float, variant: str = "eq18",
     for name, value in (("s", s), ("eps", eps)):
         if not 0.0 < value < math.inf:  # also rejects NaN
             raise DomainError(f"{name} must be finite and > 0, got {value}")
+    if s * s < np.finfo(float).tiny:  # the eq18 field divides by s^2
+        raise DomainError(f"s={s} is too small: s^2 underflows")
     if not 0.0 < t_end < math.inf:  # also rejects NaN
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
     x1s = model.equilibrium_x1(p)

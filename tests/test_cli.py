@@ -162,6 +162,15 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
           "--s-hi", "1e300"], "DomainError", "s"),
         # eps**2 once raised OverflowError
         (["canard", "--eps", "1e200"], "DomainError", "eps"),
+        # an escape flip past the Hopf set, where q is a source, was
+        # published as a homoclinic speed
+        (["c-curve", "--eps", "0.01", "--p", "0.07"], "DomainError", "s"),
+        # s*s underflowed to 0 in the eq18 field: a divide-by-zero warning,
+        # then an IntegrationError
+        (["reduced-orbit", "--p", "0.06", "--s", "1e-200", "--eps", "0.01"],
+         "DomainError", "s"),
+        (["reduced-orbit", "--p", "0.06", "--s", "1e-170", "--eps", "0.01"],
+         "DomainError", "s"),
     ]
     for argv, error, name in cases:
         code = run(argv, tmp_path)

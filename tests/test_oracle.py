@@ -16,7 +16,8 @@ first Lyapunov coefficient in closed form; the oracles are numpy's
 ``poly`` and the projection formula evaluated with LAPACK eigenvectors and
 linear solves on the Jacobian matrix.  The unstable direction of the
 saddle-focus q, a polynomial root and its closed-form eigenvector in the
-package, is checked against the LAPACK eigenvector.
+package, is checked against the LAPACK eigenvector, and the C-curve's
+closed-form stable-pair guard against LAPACK eigenvalues.
 
 Layer closed forms: the saddle and fold eigenvectors against LAPACK, and
 the double heteroclinic pbar* and p* against brentq solves of their
@@ -24,7 +25,9 @@ defining equations.  The integrated s = 0 section gap against energy
 conservation, H = x2^2/2 + V(x1), with V written out here.
 """
 
+import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +40,9 @@ from fhnwave import bifurcation, fast_layer, homoclinic, model, slow_reduced
 from fhnwave import integrate as integrator
 from fhnwave.integrate import EVENT_TOL, TOL_SCALE, integrate
 from fhnwave.model import DomainError, ModelParams
+
+SPEEDS_PATH = (Path(__file__).resolve().parents[1] / "bench"
+               / "c_curve_speeds.json")
 
 
 def _radau(field, jac, y0, t_end, event):
@@ -182,6 +188,36 @@ def test_unstable_direction_rejects_three_unstable_eigenvalues():
         homoclinic._unstable_direction(0.075, 1.0, 1e-4)
 
 
+def _eig_of_q(p, s, eps):
+    x1s = model.equilibrium_x1(p)
+    return np.linalg.eigvals(model.full_jacobian(np.array([x1s, 0.0, x1s]),
+                                                 ModelParams(p, s, eps)))
+
+
+def test_c_curve_speed_where_q_is_a_source_raises():
+    # at (0.07, 1e-2) the upper escape flip lies past the Hopf set, at
+    # s = 1.4407877, where q has the eigenvalues 0.00063 +- 0.069i and 0.280
+    with pytest.raises(DomainError, match=r"no stable pair at p=0\.07, "
+                       r"s=\S+, eps=0\.01\b") as info:
+        homoclinic.locate_c_curve(0.07, 1e-2)
+    s = float(re.search(r"s=([^,]+),", str(info.value))[1])
+    assert abs(s - 1.4407877) < 1e-6
+    assert np.all(_eig_of_q(0.07, s, 1e-2).real > 0.0)  # q is a source
+
+
+def test_recorded_c_curve_speeds_have_a_stable_pair():
+    # the 48 speeds (s1 and s2 at 24 points) the benchmark checks
+    # locate_c_curve against pass the closed-form guard, with no shot, and
+    # LAPACK agrees that q keeps a stable pair there
+    records = json.loads(SPEEDS_PATH.read_text())
+    assert len(records) == 24
+    for rec in records:
+        for s in (rec["s1"], rec["s2"]):
+            homoclinic._require_stable_pair(rec["p"], s, rec["eps"])
+            w = np.sort(_eig_of_q(rec["p"], s, rec["eps"]).real)
+            assert w[1] < 0.0 < w[2], (rec, s)
+
+
 def _eig_directions(x1, s, toward):
     """(unstable, stable) unit eigenvectors of A(x1) from LAPACK, with
     x1-components pointing toward ``toward``."""
@@ -257,7 +293,8 @@ def test_dop853_tableau_is_scipys():
         if m is None:
             continue
         kind, i, j = m[1], int(m[2]) - 1, m[3] and int(m[3]) - 1
-        assert isinstance(value, float) and value != 0.0, name
+        # a Python float, not np.float64: the stages run on float arithmetic
+        assert type(value) is float and value != 0.0, name
         assert (j is None) == (kind not in ("A", "D")), name
         table = {"A": A, "D": D, "B": B, "C": C, "E3_": E3, "E5_": E5}[kind]
         if kind == "D":
