@@ -121,7 +121,7 @@ def _shoot_to_section(x0, direction_vec, pbar, s, sigma, backward,
     or times out before crossing.
     """
     y0 = np.array([x0, 0.0]) + offset * np.asarray(direction_vec)
-    field = lambda t, y: model.fast_field(y, pbar, s)
+    field = model.fast_field_kernel(pbar, s)
     span = (0.0, -SHOT_TIME) if backward else (0.0, SHOT_TIME)
     traj = integrate(field, y0, span, _SHOT_OPTS, levels=(sigma, x_lo, x_hi))
     if traj.event is not None and traj.event.index == 0:

@@ -218,7 +218,7 @@ def escape_side(p: float, s: float, eps: float, offset: float = 1e-8) -> int:
         raise DomainError(f"offset must be finite and > 0, got {offset}")
     params = ModelParams(eps=eps, s=s, p=p)
     state, direction = _unstable_direction(p, s, eps)
-    field = lambda t, y: model.full_field(y, params)
+    field = model.full_field_kernel(params)
     traj = integrate(field, state + offset * direction,
                      (0.0, min(1e4, 100.0 / eps)), _ESCAPE_OPTS,
                      levels=(ESCAPE_X1, -ESCAPE_X1))

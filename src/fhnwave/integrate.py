@@ -11,10 +11,12 @@ stage by stage on Python floats, as ``dop853.f`` does.  It follows
 ``scipy.integrate.DOP853`` in everything but summation order: its tableau
 (``dop853_coefficients``, read as floats), initial-step rule, error norm
 (the E5/E3 pair) and step-size controller.  Its state lives in lists of
-floats; the field gets each stage state as a fresh float ndarray and its
-result is read back with ``tolist()``, so the per-step cost is the field's
-and a few float operations per stage, not numpy's per-call overhead on 2-
-and 3-vectors.
+floats.  The field protocol: the field gets each stage state as a fresh
+float ndarray and returns either a list of Python floats, taken as is, or
+an ndarray, read back with ``tolist()``.  The package's fields (the
+kernels of ``model`` and ``slow_reduced``) return lists, so the per-step
+cost is the field's and a few float operations per stage, not numpy's
+per-call overhead on 2- and 3-vectors.
 
 The dense output of an accepted step is built only where it is read: on
 every step of a run without levels, and on the step where x1 crosses a
@@ -145,15 +147,17 @@ def integrate(field, y0, t_span, opts: IntegratorOptions | None = None,
               levels=()) -> Trajectory:
     """Integrate ``y' = field(t, y)`` over ``t_span`` (backward if reversed).
 
-    ``field`` gets the state as a float ndarray and returns an ndarray of
-    the same length.  The run stops where x1 = y[0] first reaches one of
-    ``levels`` ("event"): a sign change of y[0] - c is localized on the
-    step's dense output to ``EVENT_TOL`` in time, and the earliest crossing
-    wins.  With levels, only the step a crossing falls in builds its dense
-    output.  A run also stops on ||y|| > escape_radius ("escape", checked
-    at the initial state too, before any field evaluation), at the end of
-    ``t_span`` ("time-out"), or on step-size underflow ("step-failure"),
-    which is where a field that turns non-finite ends.
+    ``field`` gets the state as a float ndarray and returns its
+    derivative, as many components as the state has: a list of Python
+    floats (taken as is) or an ndarray (read with ``tolist()``).  The run
+    stops where x1 = y[0] first reaches one of ``levels`` ("event"): a
+    sign change of y[0] - c is localized on the step's dense output to
+    ``EVENT_TOL`` in time, and the earliest crossing wins.  With levels,
+    only the step a crossing falls in builds its dense output.  A run also
+    stops on ||y|| > escape_radius ("escape", checked at the initial state
+    too, before any field evaluation), at the end of ``t_span``
+    ("time-out"), or on step-size underflow ("step-failure"), which is
+    where a field that turns non-finite ends.
     """
     if opts is None:
         opts = IntegratorOptions()
@@ -175,7 +179,8 @@ def integrate(field, y0, t_span, opts: IntegratorOptions | None = None,
                           reason="escape")
 
     def fun(t, v):
-        return field(t, np.array(v)).tolist()
+        out = field(t, np.array(v))
+        return out if type(out) is list else out.tolist()
 
     f0 = fun(t0, y)
     if len(f0) != len(y):

@@ -139,9 +139,11 @@ def branch_of(x1: float) -> Branch:
 def _finite_state(state) -> tuple[float, float, float]:
     """The three components of a wave-ODE state as Python floats.
 
-    Scalar arithmetic on floats is several times cheaper than an array
-    round trip for a three-vector; each component is tested on its own
-    (a sum overflows to inf for finite states such as 1e308 + 1e308).
+    The field kernels take a state as an ndarray and return a list of
+    Python floats: scalar arithmetic on floats is several times cheaper
+    than building an array for a three-vector.  Each component is tested
+    on its own (a sum overflows to inf for finite states such as
+    1e308 + 1e308).
     """
     if isinstance(state, np.ndarray):
         x1, x2, y = state.tolist()
@@ -152,19 +154,26 @@ def _finite_state(state) -> tuple[float, float, float]:
     return x1, x2, y
 
 
+def full_field_kernel(params: ModelParams):
+    """The wave field at fixed parameters as ``field(t, state)``, returning
+    a list of three Python floats; a non-finite state raises
+    ``DomainError``.  Built once per shot: eps/s is divided once."""
+    if params.s == 0.0:
+        raise DomainError("wave-speed division: s = 0")
+    s, p = float(params.s), float(params.p)
+    es = float(params.eps) / s
+
+    def field(t, state):
+        x1, x2, y = _finite_state(state)
+        return [x2, 0.2 * (s * x2 - cubic(x1) + y - p), es * (x1 - y)]
+
+    return field
+
+
 def full_field(state, params: ModelParams) -> np.ndarray:
     """Right-hand side of the three-dimensional wave ODE in fast time,
     (x2, (s*x2 - f(x1) + y - p)/5, eps*(x1 - y)/s)."""
-    x1, x2, y = _finite_state(state)
-    if params.s == 0.0:
-        raise DomainError("wave-speed division: s = 0")
-    return np.array(
-        [
-            x2,
-            0.2 * (params.s * x2 - cubic(x1) + y - params.p),
-            (params.eps / params.s) * (x1 - y),
-        ]
-    )
+    return np.array(full_field_kernel(params)(0.0, state))
 
 
 def full_jacobian(state, params: ModelParams) -> np.ndarray:
@@ -182,6 +191,18 @@ def full_jacobian(state, params: ModelParams) -> np.ndarray:
     )
 
 
+def fast_field_kernel(pbar: float, s: float):
+    """The layer field at fixed (pbar, s) as ``field(t, state)``: the state
+    an ndarray, the result a list of two Python floats."""
+    pbar, s = float(pbar), float(s)
+
+    def field(t, state):
+        x1, x2 = state.tolist()
+        return [x2, 0.2 * (s * x2 - cubic(x1) - pbar)]
+
+    return field
+
+
 def fast_field(state, pbar: float, s: float) -> np.ndarray:
     """Layer-problem right-hand side with frozen slow variable, pbar = p - y.
 
@@ -189,8 +210,8 @@ def fast_field(state, pbar: float, s: float) -> np.ndarray:
     of the field is s/5 everywhere (the area-expansion argument needs only
     its positivity for s > 0).
     """
-    x1, x2 = state
-    return np.array([x2, 0.2 * (s * x2 - cubic(x1) - pbar)])
+    field = fast_field_kernel(pbar, s)
+    return np.array(field(0.0, np.asarray(state, dtype=float)))
 
 
 def fast_jacobian(x1: float, s: float) -> np.ndarray:

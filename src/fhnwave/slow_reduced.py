@@ -113,17 +113,20 @@ def canard_stability_R(h: float, abs_tol: float = 1e-10) -> float:
 
 
 def _reduced_field(p: float, s: float, eps: float, variant: str):
+    """The chart's field as ``field(t, z)``: z an ndarray, the result a
+    list of two Python floats."""
+    p, s, eps = float(p), float(s), float(eps)
     if variant == "eq17":
         def field(t, z):
-            x1, y = z
-            return np.array([(model.cubic(x1) + p - y) / eps, x1 - y])
+            x1, y = z.tolist()
+            return [(model.cubic(x1) + p - y) / eps, x1 - y]
         return field
     if variant == "eq18":
         def field(t, z):
-            x1, xb2 = z
+            x1, xb2 = z.tolist()
             rate = (-(x1 - model.cubic(x1) - p) / (s * s)
                     + xb2 * (model.cubic_prime(x1) - eps) / s)
-            return np.array([xb2, rate / eps])
+            return [xb2, rate / eps]
         return field
     raise ValueError(f"unknown variant {variant!r}")
 
@@ -179,8 +182,11 @@ def simulate_reduced(p: float, s: float, eps: float, variant: str = "eq18",
     for name, value in (("s", s), ("eps", eps)):
         if not 0.0 < value < math.inf:  # also rejects NaN
             raise DomainError(f"{name} must be finite and > 0, got {value}")
-    if s * s < np.finfo(float).tiny:  # the eq18 field divides by s^2
-        raise DomainError(f"s={s} is too small: s^2 underflows")
+    # the eq18 field divides by s^2, then by eps: 1/s^2 and 1/(s^2 eps)
+    # must both stay finite
+    if s * s * min(eps, 1.0) < np.finfo(float).tiny:
+        raise DomainError(f"s={s} is too small at eps={eps}: the eq18 "
+                          "field's scale 1/(s^2*min(eps, 1)) overflows")
     if not 0.0 < t_end < math.inf:  # also rejects NaN
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
     x1s = model.equilibrium_x1(p)

@@ -6,6 +6,7 @@ workloads call that the package no longer has, or an attribute the tracer
 fails to put back, breaks the benchmark; these tests make it break here.
 """
 
+import functools
 import importlib.util
 from pathlib import Path
 
@@ -14,6 +15,7 @@ import pytest
 
 import fhnwave
 import fhnwave.cli  # noqa: F401  (imports every layer, as the benchmark does)
+from fhnwave import fast_layer, homoclinic
 from fhnwave.integrate import integrate
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -96,6 +98,53 @@ def test_tracer_records_the_layers_of_a_solve(tracing):
     for names in seen[1:]:
         assert {("fast_layer", "find_het"),
                 ("fast_layer", "shoot_heteroclinic")} <= names
+
+
+def test_traced_shots_count_every_field_call_in_few_model_spans(
+        tracing, monkeypatch):
+    # an integrate span counts every field call its run makes; the field
+    # kernels are built once per shot, so the model layer opens the same
+    # few spans for a long shot as for a short one, never one per call
+    trajs = []
+
+    @functools.wraps(integrate)  # the tracer wraps it as integrate's
+    def recording(*args, **kwargs):
+        traj = integrate(*args, **kwargs)
+        trajs.append(traj)
+        return traj
+
+    for module in (homoclinic, fast_layer):
+        monkeypatch.setattr(module, "integrate", recording)
+    shots = (("homoclinic", "escape_side", (0.05, 0.8, 1e-2)),
+             ("homoclinic", "escape_side", (0.05, 1.1, 1e-2)),
+             ("fast_layer", "shoot_heteroclinic", (-0.05, 0.3)),
+             ("fast_layer", "shoot_heteroclinic", (-0.05, 0.5)))
+    tracer = tracing.Tracer()
+    proxies = tracer.install(fhnwave)
+    runs = []
+    try:
+        for solve_id, (layer, name, args) in enumerate(shots):
+            start = len(trajs)
+            tracer.begin_solve(solve_id, name)
+            getattr(proxies[layer], name)(*args)
+            tracer.end_solve()
+            runs.append(trajs[start:])
+    finally:
+        tracer.uninstall()
+    model_spans = []
+    for solve_id, solve_trajs in enumerate(runs):
+        spans = [span for span in tracer.spans
+                 if span[tracing.SOLVE] == solve_id]
+        rhs_calls = [span[tracing.RHS_N] for span in spans
+                     if span[tracing.LAYER] == "integrate"]
+        assert rhs_calls == [traj.nfev for traj in solve_trajs] != []
+        model_spans.append(sum(span[tracing.LAYER] == "model"
+                               for span in spans))
+        assert 0 < model_spans[-1] <= 8, model_spans
+    assert runs[0][0].nfev != runs[1][0].nfev
+    assert runs[2][0].nfev != runs[3][0].nfev
+    assert model_spans[0] == model_spans[1]
+    assert model_spans[2] == model_spans[3]
 
 
 def test_tracer_uninstall_restores_every_rebound_attribute(tracing):

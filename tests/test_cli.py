@@ -171,6 +171,12 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
          "DomainError", "s"),
         (["reduced-orbit", "--p", "0.06", "--s", "1e-170", "--eps", "0.01"],
          "DomainError", "s"),
+        # s*s passed that guard, but the field's scale 1/(s^2*eps)
+        # overflowed: a numpy overflow warning, then an IntegrationError
+        (["reduced-orbit", "--p", "0.06", "--s", "1.5e-154", "--eps", "1e-3"],
+         "DomainError", "s"),
+        (["reduced-orbit", "--p", "0.06", "--s", "2e-154", "--eps", "1e-3"],
+         "DomainError", "s"),
     ]
     for argv, error, name in cases:
         code = run(argv, tmp_path)

@@ -253,27 +253,41 @@ def _budgeted(field, budget=10**5):
     return counted
 
 
+def _floats(values) -> list:
+    """The components as a list of Python floats, the other return type a
+    field may have."""
+    return [float(v) for v in values]
+
+
+#: The two return types of a field: ndarray and list of Python floats.
+#: Python floats overflow to inf silently where numpy warns, and their
+#: ``**`` raises OverflowError.
+RETURNS = (np.array, _floats)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_field_turning_nonfinite_mid_run_ends(bad):
     # the oscillator until t = 1, then a non-finite value: every step that
     # reaches past t = 1 has a NaN or infinite error norm and is rejected
     # (by the factor 0.2, so NaN must not win the controller's max)
-    def field(t, y):
-        return _oscillator(t, y) if t <= 1.0 else np.array([bad, y[0]])
+    for returns in RETURNS:
+        def field(t, y):
+            return returns(_oscillator(t, y) if t <= 1.0 else [bad, y[0]])
 
-    traj = integrate(_budgeted(field), np.array([1.0, 0.0]), (0.0, 10.0))
-    assert traj.reason in ("step-failure", "escape")
-    assert 0.0 < traj.final_time <= 1.0
-    assert np.all(np.isfinite(traj.states))
+        traj = integrate(_budgeted(field), np.array([1.0, 0.0]), (0.0, 10.0))
+        assert traj.reason in ("step-failure", "escape"), returns
+        assert 0.0 < traj.final_time <= 1.0
+        assert np.all(np.isfinite(traj.states))
 
 
 def test_field_overflowing_when_squared_ends():
     # finite values whose squares (in the initial-step rule and the error
     # norm) overflow: a float ** raises there, a product gives inf
-    field = lambda t, y: np.array([1e200, -1e200])
-    traj = integrate(_budgeted(field), np.array([1.0, 0.0]), (0.0, 10.0))
-    assert traj.reason in ("step-failure", "escape")
-    assert np.all(np.isfinite(traj.states))
+    for returns in RETURNS:
+        field = lambda t, y: returns([1e200, -1e200])
+        traj = integrate(_budgeted(field), np.array([1.0, 0.0]), (0.0, 10.0))
+        assert traj.reason in ("step-failure", "escape"), returns
+        assert np.all(np.isfinite(traj.states))
 
 
 def test_underflowing_abs_tol_rejected():
@@ -285,9 +299,10 @@ def test_underflowing_abs_tol_rejected():
 def test_shape_mismatches_rejected():
     # the kernel zips state and field components: a short field would
     # silently drop a component
-    with pytest.raises(ValueError, match="components"):
-        integrate(lambda t, y: np.array([y[1]]), np.array([1.0, 0.0]),
-                  (0.0, 1.0))
+    for returns in RETURNS:
+        with pytest.raises(ValueError, match="components"):
+            integrate(lambda t, y: returns([y[1]]), np.array([1.0, 0.0]),
+                      (0.0, 1.0))
     for y0 in (np.ones((2, 2)), 1.0, []):
         with pytest.raises(ValueError, match="y0"):
             integrate(_oscillator, y0, (0.0, 1.0))

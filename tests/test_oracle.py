@@ -9,7 +9,9 @@ eigenvectors) come from the package.
 Stepper: the package's DOP853 kernel against ``scipy.integrate.DOP853``,
 the same method in numpy: the tableau constant by constant, and escape,
 layer and reduced runs at the same tolerances, stepped by scipy's class
-under the same level and escape rules.
+under the same level and escape rules.  Each field kernel, which returns
+a list of Python floats, against the same kernel behind an ndarray on the
+package's own escape, layer and reduced runs: the same run bit for bit.
 
 Hopf algebra: the package evaluates the characteristic polynomial and the
 first Lyapunov coefficient in closed form; the oracles are numpy's
@@ -434,3 +436,52 @@ def test_reduced_run_matches_scipy_dop853(variant):
     steps = max(n, len(traj.segments))
     tol = 100 * steps * TOL_SCALE * (50.0 * opts.rel_tol + opts.abs_tol)
     assert np.max(np.abs(traj.final_state - state)) <= tol
+
+
+#: The package's integrate runs whose field kernels are checked against the
+#: same kernel behind an ndarray: two escape shots at (0.05, 1e-2), both
+#: separatrix shots of shoot_heteroclinic(-0.05, 0.3), and the
+#: reduced-orbit artifact's run in each chart.
+KERNEL_RUNS = {
+    "escape-0.8": (homoclinic, lambda: homoclinic.escape_side(0.05, 0.8, 1e-2)),
+    "escape-1.1": (homoclinic, lambda: homoclinic.escape_side(0.05, 1.1, 1e-2)),
+    "layer": (fast_layer, lambda: fast_layer.shoot_heteroclinic(-0.05, 0.3)),
+    "eq17": (slow_reduced,
+             lambda: slow_reduced.simulate_reduced(0.06, 1.37, 0.01, "eq17")),
+    "eq18": (slow_reduced,
+             lambda: slow_reduced.simulate_reduced(0.06, 1.37, 0.01, "eq18")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_RUNS))
+def test_field_kernel_runs_as_its_array_path(case, monkeypatch):
+    # a kernel returns Python floats, which integrate takes as they are; the
+    # same kernel behind an ndarray, which integrate reads with tolist(),
+    # must give the same run bit for bit
+    module, run = KERNEL_RUNS[case]
+    calls = []
+
+    def recording(field, *args, **kwargs):
+        calls.append((field, args, kwargs))
+        return integrator.integrate(field, *args, **kwargs)
+
+    monkeypatch.setattr(module, "integrate", recording)
+    run()
+    assert len(calls) == (2 if case == "layer" else 1)
+    for kernel, args, kwargs in calls:
+        def checked(t, y):
+            out = kernel(t, y)
+            assert type(out) is list
+            assert all(type(v) is float for v in out), [type(v) for v in out]
+            return out
+
+        a, b = (integrator.integrate(field, *args, **kwargs)
+                for field in (checked, lambda t, y: np.array(kernel(t, y))))
+        assert a.reason == b.reason and a.nfev == b.nfev > 0
+        assert a.t.tobytes() == b.t.tobytes()
+        assert a.states.tobytes() == b.states.tobytes()
+        assert (a.event is None) == (b.event is None)
+        if a.event is not None:
+            assert a.event.index == b.event.index
+            assert a.event.t == b.event.t
+            assert a.event.state.tobytes() == b.event.state.tobytes()
