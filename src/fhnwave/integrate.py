@@ -9,9 +9,11 @@ The stepper is the 8(5,3) Dormand-Prince pair DOP853 of Hairer, Norsett &
 Wanner (*Solving Ordinary Differential Equations I*, II.10), written out
 stage by stage on Python floats, as ``dop853.f`` does.  It follows
 ``scipy.integrate.DOP853`` in everything but summation order: its tableau
-(``dop853_coefficients``, read as floats), initial-step rule, error norm
-(the E5/E3 pair) and step-size controller.  Its state lives in lists of
-floats.  The field protocol: the field gets each stage state as a fresh
+(``dop853_coefficients``, restated below as float literals and checked
+against scipy's arrays by the tests), initial-step rule, error norm (the
+E5/E3 pair) and step-size controller.  Its state lives in lists of floats.
+A crossing is located by ``roots.brentq``, so the module imports no
+scipy.  The field protocol: the field gets each stage state as a fresh
 float ndarray and returns either a list of Python floats, taken as is, or
 an ndarray, read back with ``tolist()``.  The package's fields (the
 kernels of ``model`` and ``slow_reduced``) return lists, so the per-step
@@ -34,8 +36,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate._ivp import dop853_coefficients as _tableau
-from scipy.optimize import brentq
+
+from . import roots
 
 
 class IntegrationError(RuntimeError):
@@ -96,7 +98,9 @@ class Trajectory:
     with a time, it returns the state there), or ``None`` where none was
     built (every step of a run with levels but the one its crossing falls
     in).  ``nfev`` is the count of field evaluations, dense-output stages
-    included.
+    included, and ``rejected`` the count of step attempts the error control
+    rejected.  A run that started inside the escape radius has
+    nfev = 2 + 12 accepted + 11 rejected + 3 per dense output built.
     """
 
     t: np.ndarray
@@ -105,6 +109,7 @@ class Trajectory:
     reason: str
     segments: list = field(default_factory=list, repr=False)
     nfev: int = 0
+    rejected: int = 0
 
     @property
     def final_state(self) -> np.ndarray:
@@ -117,9 +122,13 @@ class Trajectory:
     def sample(self, times) -> np.ndarray:
         """Evaluate the dense output at given times (within the span).
 
-        Raises ``ValueError`` for a time in a step whose dense output was
-        not built.
+        Raises ``ValueError`` for a run that took no step (one that started
+        outside the escape radius) and for a time in a step whose dense
+        output was not built.
         """
+        if not self.segments:
+            raise ValueError(f"the run took no step ({self.reason} at "
+                             f"t = {self.t[0]}): no dense output to sample")
         times = np.atleast_1d(np.asarray(times, dtype=float))
         t_lo, t_hi = sorted((self.t[0], self.t[-1]))
         pad = 1e-12 * max(1.0, abs(t_lo), abs(t_hi))
@@ -211,10 +220,8 @@ def integrate(field, y0, t_span, opts: IntegratorOptions | None = None,
             if g_old != 0.0 and g_old * g_new <= 0.0 and g_new != g_old:
                 if seg is None:  # before the next step replaces the stages
                     seg = stepper.dense_output()
-                t_ev = brentq(
-                    lambda tv: seg.at(tv)[0] - c,
-                    t_old, t, xtol=EVENT_TOL, rtol=8.881784197001252e-16,
-                )
+                t_ev = roots.brentq(lambda tv: seg.at(tv)[0] - c,
+                                    t_old, t, xtol=EVENT_TOL)
                 if event is None or direction * t_ev < direction * event.t:
                     event = EventRecord(index=idx, t=t_ev, state=seg(t_ev))
         segments.append(seg)
@@ -235,6 +242,7 @@ def integrate(field, y0, t_span, opts: IntegratorOptions | None = None,
     return Trajectory(
         t=np.array(ts), states=np.array(ys), event=event,
         reason=reason, segments=segments, nfev=stepper.nfev,
+        rejected=stepper.rejected,
     )
 
 
@@ -250,7 +258,8 @@ class _Dop853:
 
     ``fun(t, v)`` takes and returns lists.  ``step()`` advances one
     accepted step; afterwards ``t_old, y_old`` and ``t, y`` are its ends and
-    ``dense_output()`` interpolates it.
+    ``dense_output()`` interpolates it.  ``nfev`` counts field
+    evaluations and ``rejected`` the attempts the error control rejected.
     """
 
     def __init__(self, fun, t0, y0, f0, t_bound, rtol, atol):
@@ -262,6 +271,7 @@ class _Dop853:
         self.t_old = self.y_old = self.h = self.stages = None
         self.h_abs = self._initial_step()
         self.nfev = 2  # f0 and the initial-step probe
+        self.rejected = 0
 
     def _initial_step(self) -> float:
         """scipy's ``select_initial_step`` (Hairer II.4), guarded so that
@@ -318,6 +328,7 @@ class _Dop853:
                 break
             h_abs *= max(MIN_FACTOR, SAFETY * error ** ERROR_EXPONENT)
             rejected = True
+            self.rejected += 1
 
         if error == 0:
             factor = MAX_FACTOR
@@ -504,40 +515,106 @@ def _error_norm(h, y, y_new, stages, rtol, atol) -> float:
 # at y_new = y + h (sum of Bj kj), and stages 14 to 16 feed only the dense
 # output rows F3..F6 = h (sum of Dr_j kj), r = 4..7.  E5 and E3 weigh the
 # stages into the error estimates.  A row of A is read up to its stage (the
-# method is explicit); the entries not named (_) are zero.
-_A, _D = _tableau.A, _tableau.D
-(_, C2, C3, C4, C5, C6, C7, C8, C9, C10, C11, C12, _, C14, C15, C16
- ) = _tableau.C.tolist()
-A2_1, = _A[1, :1].tolist()
-A3_1, A3_2 = _A[2, :2].tolist()
-A4_1, _, A4_3 = _A[3, :3].tolist()
-A5_1, _, A5_3, A5_4 = _A[4, :4].tolist()
-A6_1, _, _, A6_4, A6_5 = _A[5, :5].tolist()
-A7_1, _, _, A7_4, A7_5, A7_6 = _A[6, :6].tolist()
-A8_1, _, _, A8_4, A8_5, A8_6, A8_7 = _A[7, :7].tolist()
-A9_1, _, _, A9_4, A9_5, A9_6, A9_7, A9_8 = _A[8, :8].tolist()
-A10_1, _, _, A10_4, A10_5, A10_6, A10_7, A10_8, A10_9 = _A[9, :9].tolist()
-(A11_1, _, _, A11_4, A11_5, A11_6, A11_7, A11_8, A11_9, A11_10
- ) = _A[10, :10].tolist()
+# method is explicit); the entries not named (_) are zero.  The literals are
+# the reprs of scipy's ``dop853_coefficients`` arrays, E3 included as the
+# doubles that scipy computes as B minus the 3rd-order weights;
+# ``tests/test_oracle.py`` checks every name against those arrays.
+_C = [0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+      0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+      0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0, 0.1, 0.2,
+      0.7777777777777778]
+_A = {
+    2: [0.05260015195876773],
+    3: [0.0197250569845379, 0.0591751709536137],
+    4: [0.02958758547680685, 0.0, 0.08876275643042054],
+    5: [0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792],
+    6: [0.037037037037037035, 0.0, 0.0, 0.17082860872947386,
+        0.12546768756682242],
+    7: [0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596,
+        -0.017578125],
+    8: [0.03709200011850479, 0.0, 0.0, 0.17038392571223998,
+        0.10726203044637328, -0.015319437748624402, 0.008273789163814023],
+    9: [0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+        27.59209969944671, 20.154067550477894, -43.48988418106996],
+    10: [0.47766253643826434, 0.0, 0.0, -2.4881146199716677,
+         -0.590290826836843, 21.230051448181193, 15.279233632882423,
+         -33.28821096898486, -0.020331201708508627],
+    11: [-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+         -8.149787010746927, -18.52006565999696, 22.739487099350505,
+         2.4936055526796523, -3.0467644718982196],
+    12: [2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+         -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+         -8.87285693353063, 12.360567175794303, 0.6433927460157636],
+    14: [0.056167502283047954, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25350021021662483,
+         -0.2462390374708025, -0.12419142326381637, 0.15329179827876568,
+         0.00820105229563469, 0.007567897660545699, -0.008298],
+    15: [0.03183464816350214, 0.0, 0.0, 0.0, 0.0, 0.028300909672366776,
+         0.053541988307438566, -0.05492374857139099, 0.0, 0.0,
+         -0.00010834732869724932, 0.0003825710908356584,
+         -0.00034046500868740456, 0.1413124436746325],
+    16: [-0.42889630158379194, 0.0, 0.0, 0.0, 0.0, -4.697621415361164,
+         7.683421196062599, 4.06898981839711, 0.3567271874552811, 0.0, 0.0,
+         0.0, -0.0013990241651590145, 2.9475147891527724, -9.15095847217987],
+}
+_B = [0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+      1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+      -0.1521609496625161, 0.20136540080403034, 0.04471061572777259]
+_E5 = [0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
+       -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+       0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0.0]
+_E3 = [-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+       1.8915178993145003, -5.801203960010585, -0.4226823213237919,
+       -0.1521609496625161, 0.20136540080403034, 0.02265179219836082, 0.0]
+_D = {
+    4: [-8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777,
+        -3.0689499459498917, 2.38466765651207, 2.117034582445028,
+        -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
+        -0.08899033645133331, 18.148505520854727, -9.194632392478356,
+        -4.436036387594894],
+    5: [10.427508642579134, 0.0, 0.0, 0.0, 0.0, 242.28349177525817,
+        165.20045171727028, -374.5467547226902, -22.113666853125306,
+        7.733432668472264, -30.674084731089398, -9.332130526430229,
+        15.697238121770845, -31.139403219565178, -9.35292435884448,
+        35.81684148639408],
+    6: [19.985053242002433, 0.0, 0.0, 0.0, 0.0, -387.0373087493518,
+        -189.17813819516758, 527.8081592054236, -11.57390253995963,
+        6.8812326946963, -1.0006050966910838, 0.7777137798053443,
+        -2.778205752353508, -60.19669523126412, 84.32040550667716,
+        11.99229113618279],
+    7: [-25.69393346270375, 0.0, 0.0, 0.0, 0.0, -154.18974869023643,
+        -231.5293791760455, 357.6391179106141, 93.40532418362432,
+        -37.45832313645163, 104.0996495089623, 29.8402934266605,
+        -43.53345659001114, 96.32455395918828, -39.17726167561544,
+        -149.72683625798564],
+}
+(_, C2, C3, C4, C5, C6, C7, C8, C9, C10, C11, C12, _, C14, C15, C16) = _C
+A2_1, = _A[2]
+A3_1, A3_2 = _A[3]
+A4_1, _, A4_3 = _A[4]
+A5_1, _, A5_3, A5_4 = _A[5]
+A6_1, _, _, A6_4, A6_5 = _A[6]
+A7_1, _, _, A7_4, A7_5, A7_6 = _A[7]
+A8_1, _, _, A8_4, A8_5, A8_6, A8_7 = _A[8]
+A9_1, _, _, A9_4, A9_5, A9_6, A9_7, A9_8 = _A[9]
+A10_1, _, _, A10_4, A10_5, A10_6, A10_7, A10_8, A10_9 = _A[10]
+A11_1, _, _, A11_4, A11_5, A11_6, A11_7, A11_8, A11_9, A11_10 = _A[11]
 (A12_1, _, _, A12_4, A12_5, A12_6, A12_7, A12_8, A12_9, A12_10, A12_11
- ) = _A[11, :11].tolist()
-B1, _, _, _, _, B6, B7, B8, B9, B10, B11, B12 = _tableau.B.tolist()
+ ) = _A[12]
+B1, _, _, _, _, B6, B7, B8, B9, B10, B11, B12 = _B
 (A14_1, _, _, _, _, _, A14_7, A14_8, A14_9, A14_10, A14_11, A14_12, A14_13
- ) = _A[13, :13].tolist()
+ ) = _A[14]
 (A15_1, _, _, _, _, A15_6, A15_7, A15_8, _, _, A15_11, A15_12, A15_13,
- A15_14) = _A[14, :14].tolist()
+ A15_14) = _A[15]
 (A16_1, _, _, _, _, A16_6, A16_7, A16_8, A16_9, _, _, _, A16_13, A16_14,
- A16_15) = _A[15, :15].tolist()
-E5_1, _, _, _, _, E5_6, E5_7, E5_8, E5_9, E5_10, E5_11, E5_12, _ = (
-    _tableau.E5.tolist())
-E3_1, _, _, _, _, E3_6, E3_7, E3_8, E3_9, E3_10, E3_11, E3_12, _ = (
-    _tableau.E3.tolist())
+ A16_15) = _A[16]
+E5_1, _, _, _, _, E5_6, E5_7, E5_8, E5_9, E5_10, E5_11, E5_12, _ = _E5
+E3_1, _, _, _, _, E3_6, E3_7, E3_8, E3_9, E3_10, E3_11, E3_12, _ = _E3
 (D4_1, _, _, _, _, D4_6, D4_7, D4_8, D4_9, D4_10, D4_11, D4_12, D4_13, D4_14,
- D4_15, D4_16) = _D[0].tolist()
+ D4_15, D4_16) = _D[4]
 (D5_1, _, _, _, _, D5_6, D5_7, D5_8, D5_9, D5_10, D5_11, D5_12, D5_13, D5_14,
- D5_15, D5_16) = _D[1].tolist()
+ D5_15, D5_16) = _D[5]
 (D6_1, _, _, _, _, D6_6, D6_7, D6_8, D6_9, D6_10, D6_11, D6_12, D6_13, D6_14,
- D6_15, D6_16) = _D[2].tolist()
+ D6_15, D6_16) = _D[6]
 (D7_1, _, _, _, _, D7_6, D7_7, D7_8, D7_9, D7_10, D7_11, D7_12, D7_13, D7_14,
- D7_15, D7_16) = _D[3].tolist()
-del _, _A, _D
+ D7_15, D7_16) = _D[7]
+del _, _C, _A, _B, _E5, _E3, _D

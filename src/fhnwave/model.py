@@ -21,7 +21,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import brentq
+
+from . import roots
+from .roots import DomainError  # defined in roots, the lower module
 
 SQRT91 = math.sqrt(91.0)
 
@@ -41,10 +43,6 @@ X_INVOLUTION = 11.0 / 15.0
 
 #: Eigenvalue magnitudes below this mark a fold (degenerate) equilibrium.
 FOLD_TOL = 1e-9
-
-
-class DomainError(ValueError):
-    """Input outside the admissible domain of an operation."""
 
 
 def cubic(x1):
@@ -235,16 +233,16 @@ def fast_equilibria_x1(pbar: float) -> list[float]:
         lo *= 2.0
     while func(hi) > 0.0:
         hi *= 2.0
-    roots: list[float] = []
+    xs: list[float] = []
     for a, b in ((lo, X_MINUS), (X_MINUS, X_PLUS), (X_PLUS, hi)):
         fa, fb = func(a), func(b)
-        if fa == 0.0 and (not roots or roots[-1] != a):
-            roots.append(a)
+        if fa == 0.0 and (not xs or xs[-1] != a):
+            xs.append(a)
         if fa * fb < 0.0:
-            roots.append(brentq(func, a, b, xtol=1e-15, rtol=1e-15))
+            xs.append(roots.brentq(func, a, b, xtol=1e-15, rtol=1e-15))
     if func(hi) == 0.0:
-        roots.append(hi)
-    return roots
+        xs.append(hi)
+    return xs
 
 
 def classify_eigenvalues(eigenvalues) -> EquilibriumKind:
@@ -270,7 +268,7 @@ def equilibrium_x1(p: float) -> float:
         lo *= 2.0
     while func(hi) < 0.0:
         hi *= 2.0
-    return brentq(func, lo, hi, xtol=1e-15, rtol=1e-15)
+    return roots.brentq(func, lo, hi, xtol=1e-15, rtol=1e-15)
 
 
 def symmetry_transform(state, p: float) -> tuple[np.ndarray, float]:

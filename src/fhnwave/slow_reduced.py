@@ -9,6 +9,10 @@ Two equivalent charts of the reduction are supported:
            eps*xb2' = -(x1 - c0(x1) - p)/s^2 + xb2*(c0'(x1) - eps)/s
 
 with x2 = eps*xb2 recovering the original second coordinate.
+
+The canard heights are roots by ``roots.brentq``.  R(h) is the package's
+one use of scipy: its QUADPACK ``quad``, imported inside
+``canard_stability_R`` so that importing this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -17,10 +21,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
-from . import model
+from . import model, roots
 from .integrate import IntegratorOptions, Trajectory, integrate
 from .model import DomainError, SQRT91
 
@@ -81,8 +83,8 @@ def canard_height_roots(h: float) -> tuple[float, float]:
     if not 0.0 < h <= H_MAX:
         raise DomainError(f"h={h} outside (0, {H_MAX}]")
     func = lambda x: phi(x) - h
-    xl = brentq(func, -SQRT91 / 30.0, -1e-300, xtol=1e-16, rtol=1e-15)
-    xm = brentq(func, 1e-300, PHI_FOLD, xtol=1e-16, rtol=1e-15)
+    xl = roots.brentq(func, -SQRT91 / 30.0, -1e-300, xtol=1e-16, rtol=1e-15)
+    xm = roots.brentq(func, 1e-300, PHI_FOLD, xtol=1e-16, rtol=1e-15)
     return xl, xm
 
 
@@ -92,7 +94,11 @@ def canard_stability_R(h: float, abs_tol: float = 1e-10) -> float:
     Integrates phi'(x)^2 / (x - phi(x)) from x_l(h) to x_m(h) by adaptive
     quadrature split at x = 0, where the numerator vanishes quadratically
     and the denominator linearly (the quotient extends continuously by 0).
+    The quadrature is scipy's QUADPACK ``quad``, imported here: this is the
+    package's one use of scipy, and no other command pays for its import.
     """
+    from scipy.integrate import quad
+
     if not 0.0 < abs_tol < math.inf:  # also rejects NaN
         raise DomainError(f"abs_tol must be finite and > 0, got {abs_tol}")
     xl, xm = canard_height_roots(h)

@@ -4,6 +4,8 @@ import csv
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -333,3 +335,43 @@ def test_help_lists_defaults(capsys):
     out = capsys.readouterr().out
     assert "--bracket-tol" in out
     assert "1e-12" in out
+
+
+#: Code run in a fresh interpreter: import the CLI, run one step, then
+#: print the scipy modules loaded.
+_IMPORT_PROBE = """
+import json, sys
+from fhnwave import cli
+{step}
+print(json.dumps(sorted(m for m in sys.modules
+                        if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+@pytest.mark.parametrize("step, scipy_needed", [
+    # the benchmark's set-up probe
+    ("from fhnwave.integrate import integrate\n"
+     "integrate(lambda t, y: -y, [1.0], (0.0, 0.1))", False),
+    ("assert cli.main(['folds', '--out-dir', sys.argv[1]]) == 0", False),
+    ("assert cli.main(['c-curve', '--eps', '0.01', '--p', '0.05', "
+     "'--out-dir', sys.argv[1]]) == 0", False),
+    # the one command that loads scipy: R(h) by QUADPACK
+    ("assert cli.main(['canard-stability', '--n', '3', "
+     "'--out-dir', sys.argv[1]]) == 0", True),
+], ids=["import", "folds", "c-curve", "canard-stability"])
+def test_commands_import_scipy_only_for_quadrature(tmp_path, step,
+                                                   scipy_needed):
+    # a process pays scipy's package imports (about 0.4 s) only where it
+    # integrates R(h); every root solve and the DOP853 tableau are the
+    # package's own
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE.format(step=step), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+    if scipy_needed:
+        assert "scipy.integrate" in loaded
+    else:
+        assert loaded == []

@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import DOP853
 from scipy.optimize import brentq
 
+from fhnwave import fast_layer, homoclinic
 from fhnwave import integrate as integrator
 from fhnwave.integrate import (EVENT_TOL, TOL_SCALE, IntegrationError,
                                IntegratorOptions, integrate)
@@ -137,6 +138,36 @@ def test_rejected_attempt_skips_the_end_stage(monkeypatch):
     assert np.max(np.abs(traj.final_state - solver.y)) < 1e-12
     assert solver.nfev == 2 + 12 * len(attempts)
     assert solver.nfev - traj.nfev == rejected
+    assert traj.rejected == rejected
+
+
+#: An escape shot at (p, eps) = (0.05, 1e-2) and a separatrix shot pair of
+#: the layer problem: the runs whose field evaluations the identity splits.
+SHOTS = {
+    "escape": (homoclinic, lambda: homoclinic.escape_side(0.05, 0.8, 1e-2)),
+    "layer": (fast_layer, lambda: fast_layer.shoot_heteroclinic(-0.05, 0.3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHOTS))
+def test_nfev_splits_into_accepted_rejected_and_dense_stages(case,
+                                                            monkeypatch):
+    # a rejected attempt costs 11 evaluations, an accepted step 12 and a
+    # dense output 3, on top of f0 and the initial-step probe
+    module, shoot = SHOTS[case]
+    runs = []
+
+    def recording(*args, **kwargs):
+        runs.append(integrate(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(module, "integrate", recording)
+    shoot()
+    assert runs and sum(traj.rejected for traj in runs) > 0
+    for traj in runs:
+        accepted = len(traj.segments)
+        dense = sum(seg is not None for seg in traj.segments)
+        assert traj.nfev == 2 + 12 * accepted + 11 * traj.rejected + 3 * dense
 
 
 def test_first_event_wins():
@@ -235,7 +266,14 @@ def test_initial_state_outside_escape_radius_calls_no_field():
     assert traj.reason == "escape" and traj.event is None
     assert traj.t.tolist() == [0.0]
     assert traj.states.tolist() == [[3.0, 4.5]]
-    assert traj.segments == [] and traj.nfev == 0
+    assert traj.segments == [] and traj.nfev == 0 and traj.rejected == 0
+
+
+def test_sample_of_a_run_without_steps_rejected():
+    traj = integrate(lambda t, y: -y, [100.0], (0.0, 1.0))
+    assert traj.reason == "escape" and traj.segments == []
+    with pytest.raises(ValueError, match="took no step"):
+        traj.sample(0.0)
 
 
 def _budgeted(field, budget=10**5):
